@@ -39,6 +39,18 @@ impl ChaosEvolution {
     pub fn plan(&self) -> &ChaosPlan {
         &self.plan
     }
+
+    /// The realized estimate of `(src, dst)` at `t`.
+    fn link(&self, t: Millis, src: usize, dst: usize) -> LinkEstimate {
+        let e = self.base.estimate(src, dst);
+        if self.plan.link_blocked(src, dst, t) {
+            LinkEstimate::new(e.startup, e.bandwidth.scaled(DEAD_SCALE))
+        } else if let Some(f) = self.plan.lying_factor(src, dst, t) {
+            LinkEstimate::new(e.startup, e.bandwidth.scaled(1.0 / f))
+        } else {
+            e
+        }
+    }
 }
 
 impl NetworkEvolution for ChaosEvolution {
@@ -51,18 +63,11 @@ impl NetworkEvolution for ChaosEvolution {
     }
 
     fn state_at(&mut self, t: Millis) -> NetParams {
-        let plan = &self.plan;
-        let base = &self.base;
-        NetParams::from_fn(base.len(), |src, dst| {
-            let e = base.estimate(src, dst);
-            if plan.link_blocked(src, dst, t) {
-                LinkEstimate::new(e.startup, e.bandwidth.scaled(DEAD_SCALE))
-            } else if let Some(f) = plan.lying_factor(src, dst, t) {
-                LinkEstimate::new(e.startup, e.bandwidth.scaled(1.0 / f))
-            } else {
-                e
-            }
-        })
+        NetParams::from_fn(self.base.len(), |src, dst| self.link(t, src, dst))
+    }
+
+    fn link_at(&mut self, t: Millis, src: usize, dst: usize) -> LinkEstimate {
+        self.link(t, src, dst)
     }
 }
 

@@ -8,6 +8,7 @@
 //! consume traces, which is what makes the §6.3 checkpoint/rescheduling
 //! experiments possible.
 
+use crate::cost::LinkEstimate;
 use crate::params::NetParams;
 use crate::units::Millis;
 use rand::rngs::StdRng;
@@ -110,22 +111,35 @@ impl VariationTrace {
         }
     }
 
+    /// Moves the walk forward to the step containing `t`.
+    fn advance_to_time(&mut self, t: Millis) {
+        let step = (t.as_ms() / self.config.step.as_ms()).floor().max(0.0) as u64;
+        self.advance_to(step);
+    }
+
+    /// The drifted estimate of `(src, dst)` at the current step.
+    fn link(&self, src: usize, dst: usize) -> LinkEstimate {
+        let e = self.base.estimate(src, dst);
+        if src == dst {
+            return e;
+        }
+        let m = self.multipliers[src * self.base.len() + dst];
+        LinkEstimate::new(e.startup, e.bandwidth.scaled(m))
+    }
+
     /// The network state at time `t`. Times must be queried in
     /// non-decreasing order (the walk only moves forward); querying an
     /// earlier time returns the state at the latest time already reached.
     pub fn snapshot_at(&mut self, t: Millis) -> NetParams {
-        let step = (t.as_ms() / self.config.step.as_ms()).floor().max(0.0) as u64;
-        self.advance_to(step);
-        let p = self.base.len();
-        let mut out = self.base.clone();
-        for src in 0..p {
-            for dst in 0..p {
-                if src != dst {
-                    out.scale_bandwidth(src, dst, self.multipliers[src * p + dst]);
-                }
-            }
-        }
-        out
+        self.advance_to_time(t);
+        NetParams::from_fn(self.base.len(), |src, dst| self.link(src, dst))
+    }
+
+    /// One link of [`VariationTrace::snapshot_at`]`(t)`, bit for bit,
+    /// without building the table. Same forward-only time contract.
+    pub fn link_at(&mut self, t: Millis, src: usize, dst: usize) -> LinkEstimate {
+        self.advance_to_time(t);
+        self.link(src, dst)
     }
 }
 

@@ -34,13 +34,14 @@
 //! crossed the healed link.
 
 use crate::channel::{
-    run_shaped, CheckpointAction, FaultPolicy, FrozenNetwork, ShapedConfig, ShapedOutcome,
+    price_shaped, run_shaped, CheckpointAction, FaultPolicy, FrozenNetwork, ShapedConfig,
+    ShapedOutcome,
 };
 use crate::error::RuntimeError;
 use crate::prober::{MeasurementTamper, Prober, TrustPolicy};
 use crate::telemetry::Telemetry;
 use crate::trace::RunTrace;
-use crate::transport::{ChannelTransport, Transport};
+use crate::transport::Transport;
 use adaptcomm_core::algorithms::{MatchingScheduler, Scheduler};
 use adaptcomm_core::checkpointed::{CheckpointPolicy, RescheduleRule};
 use adaptcomm_core::matrix::CommMatrix;
@@ -374,33 +375,29 @@ impl<'a> CheckpointedRun<'a> {
         self
     }
 
-    /// What the engine would do on a frozen network: used both for the
-    /// initial plan and for per-attempt progress baselines. Sorted
-    /// completion instants.
-    fn plan_finishes(&self, lists: &[Vec<usize>], start_at: Millis) -> Vec<f64> {
-        let params = self.directory.snapshot().params().clone();
-        let p = params.len();
-        let mut frozen = FrozenNetwork(params);
-        let sink = ChannelTransport::new(p);
-        let config = ShapedConfig {
-            payload_cap: Some(0),
-            start_at,
-            ..Default::default()
-        };
-        let planned = run_shaped(lists, self.sizes, &mut frozen, &sink, config, |_| {
-            CheckpointAction::Continue
-        })
-        .expect("a frozen network cannot fault");
-        let mut finishes: Vec<f64> = planned.records.iter().map(|r| r.finish.as_ms()).collect();
-        finishes.sort_by(f64::total_cmp);
-        finishes
+    /// What the engine would do on a frozen network of the current
+    /// directory view: used both for the initial plan and for
+    /// per-attempt progress baselines. Sorted completion instants.
+    fn plan_finishes(
+        &self,
+        lists: &[Vec<usize>],
+        start_at: Millis,
+    ) -> Result<Vec<f64>, RuntimeError> {
+        let mut frozen = FrozenNetwork(self.directory.snapshot().params().clone());
+        let planned =
+            price_shaped(lists, self.sizes, &mut frozen, start_at).map_err(|f| f.error)?;
+        // The engine's records are already sorted by finish.
+        Ok(planned.records.iter().map(|r| r.finish.as_ms()).collect())
     }
 
-    /// Runs `lists` once with the live loop attached. Returns the
-    /// engine outcome plus what the loop did along the way.
+    /// Runs `lists` once with the live loop attached, judging progress
+    /// against `planned`, the finishes [`Self::plan_finishes`] priced for
+    /// `lists`. Returns the engine outcome plus what the loop did along
+    /// the way.
     fn attempt<E, T>(
         &self,
         lists: &[Vec<usize>],
+        planned: &[f64],
         start_at: Millis,
         evolution: &mut E,
         transport: &T,
@@ -413,7 +410,6 @@ impl<'a> CheckpointedRun<'a> {
         E: NetworkEvolution + Send,
         T: Transport + ?Sized,
     {
-        let planned = self.plan_finishes(lists, start_at);
         // The reference the detector judges transfers against: the
         // directory view the current plan was priced from. Replaced on
         // every replan, so "planned" always means "under the plan now
@@ -673,12 +669,8 @@ impl<'a> CheckpointedRun<'a> {
             self.settings.backoff_base_ms > 0.0 && self.settings.backoff_factor >= 1.0,
             "backoff must wait a positive, non-shrinking time"
         );
-        let planned_makespan = Millis::new(
-            self.plan_finishes(lists, Millis::ZERO)
-                .last()
-                .copied()
-                .unwrap_or(0.0),
-        );
+        let mut planned = self.plan_finishes(lists, Millis::ZERO)?;
+        let planned_makespan = Millis::new(planned.last().copied().unwrap_or(0.0));
         let mut report = AdaptReport {
             trace: RunTrace::new(),
             records: Vec::new(),
@@ -711,8 +703,14 @@ impl<'a> CheckpointedRun<'a> {
         let obs = adaptcomm_obs::global();
         loop {
             report.attempts += 1;
-            let (result, stats) =
-                self.attempt(&lists, start_at, evolution, transport, &mut telemetry);
+            let (result, stats) = self.attempt(
+                &lists,
+                &planned,
+                start_at,
+                evolution,
+                transport,
+                &mut telemetry,
+            );
             report.measurements_published += stats.published;
             report.incremental_reschedules += stats.incremental;
             if report.first_replan_checkpoint.is_none() {
@@ -959,6 +957,7 @@ impl<'a> CheckpointedRun<'a> {
                     start_at = failure.at;
                 }
             }
+            planned = self.plan_finishes(&lists, start_at)?;
         }
     }
 }
@@ -966,7 +965,7 @@ impl<'a> CheckpointedRun<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::expected_receipts;
+    use crate::transport::{expected_receipts, ChannelTransport};
     use adaptcomm_core::algorithms::{OpenShop, Scheduler};
     use adaptcomm_core::matrix::CommMatrix;
     use adaptcomm_model::cost::LinkEstimate;
@@ -1319,5 +1318,38 @@ mod tests {
             .execute(&lists, &mut evolution, &transport)
             .expect_err("a link that never heals must exhaust retries");
         assert_eq!(err.link(), Some((0, 2)));
+    }
+
+    #[test]
+    fn a_corrupt_directory_estimate_fails_typed_before_any_delivery() {
+        let p = 4;
+        let net = hetero_net(p);
+        let sz = sizes(p);
+        let lists = initial_lists(&net, &sz);
+        // A NaN startup, as corrupt data arriving by field access would
+        // carry it (`LinkEstimate::new` asserts).
+        let mut poisoned = net.clone();
+        let e = poisoned.estimate(0, 1);
+        poisoned.set_estimate(
+            0,
+            1,
+            LinkEstimate {
+                startup: Millis::new(f64::NAN),
+                bandwidth: e.bandwidth,
+            },
+        );
+        let directory = DirectoryService::new(poisoned);
+        let transport = ChannelTransport::new(p);
+        let err = CheckpointedRun::new(&directory, &sz, AdaptSettings::default())
+            .execute(&lists, &mut FrozenNetwork(net), &transport)
+            .expect_err("a NaN planning estimate cannot be priced");
+        assert!(
+            matches!(err, RuntimeError::CorruptEstimate { src: 0, dst: 1, .. }),
+            "got {err:?}"
+        );
+        assert!(
+            transport.receipts().iter().all(|r| r.messages == 0),
+            "pricing failed, so no worker may have delivered"
+        );
     }
 }

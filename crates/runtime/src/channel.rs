@@ -1,13 +1,13 @@
 //! The shaped engine: real OS threads under the paper's port model.
 //!
 //! One worker thread per processor executes its send list over a
-//! [`Transport`], while a central *fabric* (a monitor: mutex + condvar)
-//! enforces the model of §3: each node sends at most one message and
-//! receives at most one message at a time; a busy receiver queues
-//! requests and grants them FCFS, ties to the lower sender id; a granted
-//! transfer from `i` to `j` carrying `m` bytes occupies both ports for
-//! `T_ij + m/B_ij` of *modeled* time, priced from a live
-//! [`NetworkEvolution`] at the grant instant.
+//! [`Transport`], while a central *fabric* (a monitor: one mutex, one
+//! condvar per worker) enforces the model of §3: each node sends at
+//! most one message and receives at most one message at a time; a busy
+//! receiver queues requests and grants them FCFS, ties to the lower
+//! sender id; a granted transfer from `i` to `j` carrying `m` bytes
+//! occupies both ports for `T_ij + m/B_ij` of *modeled* time, priced
+//! from a live [`NetworkEvolution`] at the grant instant.
 //!
 //! # Determinism: virtual time over real threads
 //!
@@ -31,18 +31,43 @@
 //! availability, and may hand back replanned queues, exactly like
 //! `adaptcomm_sim::dynamic::run_adaptive` does at its `Completed`
 //! events.
+//!
+//! # Wake rule
+//!
+//! Only a state change of a worker's own can unblock it: a grant of its
+//! request, or the run failing. So each commit pass records the senders
+//! it granted, and the worker that ran the pass wakes exactly those
+//! (after leaving the monitor, so they do not block on the lock it still
+//! holds); a failure wakes every worker. A grant at P processors thus
+//! costs one wakeup, not P. A link's live estimate is read with
+//! [`NetworkEvolution::link_at`], one link per grant rather than a P×P
+//! table.
+//!
+//! # One-thread pricing
+//!
+//! [`price_shaped`] drives the same commit engine without threads: it
+//! parks every sender at `start_at`, commits, then re-parks each granted
+//! sender at its modeled finish (or retires it) and commits again. That
+//! is the threaded run whose workers move their bytes infinitely fast:
+//! every granted worker is back in the monitor before the clock could
+//! pass its finish. Batching their re-entries into one commit pass only
+//! delays commits, and the argument above makes the committed sequence
+//! independent of when commits happen, so over the same network the
+//! timeline is the threaded run's, bit for bit. Plans are priced this
+//! way, without spawning a thread.
 
 use crate::error::RuntimeError;
 use crate::trace::{EventKind, RunTrace, RuntimeEvent};
 use crate::transport::{fill_payload, physical_len, Transport};
 use adaptcomm_core::checkpointed::CheckpointPolicy;
+use adaptcomm_model::cost::LinkEstimate;
 use adaptcomm_model::params::NetParams;
 use adaptcomm_model::units::{Bytes, Millis};
 use adaptcomm_sim::executor::TransferRecord;
 use adaptcomm_sim::NetworkEvolution;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Link-failure detection applied when a transfer is priced at its
@@ -200,6 +225,31 @@ struct GrantSlip {
     physical: usize,
 }
 
+/// Heap entry ordered by `(at, id)`: a parked request `(arrival, src)`
+/// in its receiver's queue, or a running worker `(until, src)`.
+#[derive(Debug, Clone, Copy)]
+struct Stamp {
+    at: f64,
+    id: usize,
+}
+
+impl PartialEq for Stamp {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == std::cmp::Ordering::Equal
+    }
+}
+impl Eq for Stamp {}
+impl PartialOrd for Stamp {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Stamp {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.at.total_cmp(&other.at).then(self.id.cmp(&other.id))
+    }
+}
+
 /// Heap entry ordered by `(finish, src, dst)`.
 #[derive(Debug, Clone, Copy)]
 struct Completion {
@@ -234,6 +284,15 @@ struct Core<'a, E, H> {
     p: usize,
     queues: Vec<VecDeque<usize>>,
     state: Vec<WorkerState>,
+    /// Per receiver, the parked senders whose next message goes there,
+    /// keyed `(arrival, src)`: the top is the receiver's FCFS winner.
+    requests: Vec<BinaryHeap<Reverse<Stamp>>>,
+    /// `(until, src)` of running workers. Entries go stale when their
+    /// worker parks or retires and are dropped lazily on lookup.
+    running: BinaryHeap<Reverse<Stamp>>,
+    /// Senders granted since the caller of `advance` last collected
+    /// them: the only workers a commit can unblock.
+    granted: Vec<usize>,
     assignment: Vec<Option<GrantSlip>>,
     send_free_at: Vec<f64>,
     recv_free_at: Vec<f64>,
@@ -263,8 +322,29 @@ struct Core<'a, E, H> {
 
 struct Fabric<'a, E, H> {
     core: Mutex<Core<'a, E, H>>,
-    cv: Condvar,
+    /// One condvar per worker, so a grant wakes only its sender.
+    wakeups: Vec<Condvar>,
     epoch: Instant,
+}
+
+impl<'a, E, H> Fabric<'a, E, H> {
+    /// Leaves the monitor, then wakes the workers the last `advance`
+    /// unblocked: the granted senders, or every worker once the run has
+    /// failed. Waking after the unlock lets a woken worker take the lock
+    /// at once instead of blocking on it again. `woken` is scratch space.
+    fn release(&self, mut guard: MutexGuard<'_, Core<'a, E, H>>, woken: &mut Vec<usize>) {
+        let everyone = guard.failure.is_some();
+        woken.append(&mut guard.granted);
+        drop(guard);
+        if everyone {
+            self.wakeups.iter().for_each(Condvar::notify_one);
+            woken.clear();
+        } else {
+            for src in woken.drain(..) {
+                self.wakeups[src].notify_one();
+            }
+        }
+    }
 }
 
 impl<'a, E, H> Core<'a, E, H>
@@ -272,6 +352,81 @@ where
     E: NetworkEvolution,
     H: FnMut(&CheckpointView<'_>) -> CheckpointAction,
 {
+    fn new(
+        lists: &[Vec<usize>],
+        sizes: &'a [Vec<Bytes>],
+        evolution: &'a mut E,
+        config: ShapedConfig,
+        hook: H,
+    ) -> Self {
+        let p = evolution.processors();
+        assert_eq!(lists.len(), p, "send lists do not match network size");
+        assert_eq!(sizes.len(), p, "sizes do not match network size");
+        for (src, l) in lists.iter().enumerate() {
+            for &dst in l {
+                assert!(
+                    dst < p && dst != src,
+                    "invalid destination {dst} for sender {src}"
+                );
+            }
+        }
+        let queues: Vec<VecDeque<usize>> =
+            lists.iter().map(|l| l.iter().copied().collect()).collect();
+        let total: usize = queues.iter().map(|q| q.len()).sum();
+        let start = config.start_at.as_ms();
+        let planning = evolution.planning_estimates();
+        Core {
+            p,
+            queues,
+            state: vec![WorkerState::Running { until: start }; p],
+            requests: vec![BinaryHeap::new(); p],
+            running: (0..p).map(|id| Reverse(Stamp { at: start, id })).collect(),
+            granted: Vec::with_capacity(p),
+            assignment: vec![None; p],
+            send_free_at: vec![start; p],
+            recv_free_at: vec![start; p],
+            completions: BinaryHeap::new(),
+            records: Vec::with_capacity(total),
+            trace: RunTrace {
+                events: Vec::with_capacity(3 * total),
+            },
+            completed: 0,
+            total,
+            checkpoints_evaluated: 0,
+            reschedules: 0,
+            failure: None,
+            failed_at: start,
+            lost: Vec::new(),
+            refused: Vec::new(),
+            evolution,
+            planning,
+            sizes,
+            hook,
+            config,
+        }
+    }
+
+    /// Worker `src` enters the monitor at modeled `arrival`: it parks a
+    /// request for its next message, or retires once its list is drained
+    /// or the run has failed. Returns whether it parked.
+    fn rejoin(&mut self, src: usize, arrival: f64) -> bool {
+        let next = self.queues[src].front().copied();
+        match next {
+            Some(dst) if self.failure.is_none() => {
+                self.state[src] = WorkerState::Parked { arrival };
+                self.requests[dst].push(Reverse(Stamp {
+                    at: arrival,
+                    id: src,
+                }));
+                true
+            }
+            _ => {
+                self.state[src] = WorkerState::Done;
+                false
+            }
+        }
+    }
+
     fn push_event(
         &mut self,
         kind: EventKind,
@@ -299,14 +454,16 @@ where
 
     /// The earliest modeled instant at which a worker still out of the
     /// monitor could submit a request.
-    fn min_running(&self) -> f64 {
-        self.state
-            .iter()
-            .filter_map(|s| match *s {
-                WorkerState::Running { until } => Some(until),
-                _ => None,
-            })
-            .fold(f64::INFINITY, f64::min)
+    fn min_running(&mut self) -> f64 {
+        while let Some(&Reverse(Stamp { at, id })) = self.running.peek() {
+            match self.state[id] {
+                WorkerState::Running { until } if until.to_bits() == at.to_bits() => return at,
+                _ => {
+                    self.running.pop();
+                }
+            }
+        }
+        f64::INFINITY
     }
 
     /// The best grantable request: per receiver, parked requests are
@@ -314,25 +471,13 @@ where
     /// the earliest `(start, dst)` wins. Returns `(start, arrival, src,
     /// dst)`.
     fn best_candidate(&self) -> Option<(f64, f64, usize, usize)> {
-        // Per-dst winner by (arrival, src).
-        let mut winner: Vec<Option<(f64, usize)>> = vec![None; self.p];
-        for src in 0..self.p {
-            if let WorkerState::Parked { arrival } = self.state[src] {
-                let Some(&dst) = self.queues[src].front() else {
-                    continue;
-                };
-                let better = match winner[dst] {
-                    None => true,
-                    Some((a, s)) => (arrival, src) < (a, s),
-                };
-                if better {
-                    winner[dst] = Some((arrival, src));
-                }
-            }
-        }
         let mut best: Option<(f64, f64, usize, usize)> = None;
-        for dst in 0..self.p {
-            if let Some((arrival, src)) = winner[dst] {
+        for (dst, heap) in self.requests.iter().enumerate() {
+            if let Some(&Reverse(Stamp {
+                at: arrival,
+                id: src,
+            })) = heap.peek()
+            {
                 let start = arrival.max(self.recv_free_at[dst]);
                 let key = (start, dst);
                 if best.is_none_or(|(bs, _, _, bd)| key < (bs, bd)) {
@@ -345,14 +490,13 @@ where
 
     fn commit_grant(&mut self, start: f64, arrival: f64, src: usize, dst: usize, epoch: &Instant) {
         let bytes = self.sizes[src][dst];
-        let net = self.evolution.state_at(Millis::new(start));
         // A non-finite live estimate is a poisoned model, not a slow
         // link: it must never reach the `<=` comparison below (NaN
         // compares false against any threshold) or the calendar (a NaN
         // finish wedges the virtual clock).
-        let live = net.estimate(src, dst);
+        let live = self.evolution.link_at(Millis::new(start), src, dst);
         let kbps = live.bandwidth.as_kbps();
-        let dur = net.time(src, dst, bytes).as_ms();
+        let dur = live.message_time(bytes).as_ms();
         if !kbps.is_finite() || !dur.is_finite() {
             self.fail(
                 RuntimeError::CorruptEstimate {
@@ -399,8 +543,15 @@ where
             }
         }
         let finish = start + dur;
+        let served = self.requests[dst].pop();
+        debug_assert_eq!(served.map(|Reverse(r)| r.id), Some(src));
         self.queues[src].pop_front();
         self.state[src] = WorkerState::Running { until: finish };
+        self.running.push(Reverse(Stamp {
+            at: finish,
+            id: src,
+        }));
+        self.granted.push(src);
         self.send_free_at[src] = finish;
         self.recv_free_at[dst] = finish;
         self.assignment[src] = Some(GrantSlip {
@@ -473,9 +624,14 @@ where
             self.queues = new_queues;
             // Pending requests are cancelled and re-issued at the
             // checkpoint instant, matching the simulator's replan.
-            for s in &mut self.state {
-                if let WorkerState::Parked { arrival } = s {
-                    *arrival = arrival.max(c.finish);
+            self.requests.iter_mut().for_each(BinaryHeap::clear);
+            for src in 0..self.p {
+                if let WorkerState::Parked { arrival } = self.state[src] {
+                    let at = arrival.max(c.finish);
+                    self.state[src] = WorkerState::Parked { arrival: at };
+                    if let Some(&dst) = self.queues[src].front() {
+                        self.requests[dst].push(Reverse(Stamp { at, id: src }));
+                    }
                 }
             }
         }
@@ -528,6 +684,77 @@ where
             }
         }
     }
+
+    /// Folds a finished run into its outcome. Every worker has left the
+    /// monitor for good, so every committed grant has resolved.
+    #[allow(clippy::result_large_err)]
+    fn settle(self) -> Result<ShapedOutcome, ShapedFailure> {
+        if let Some(error) = self.failure {
+            // Settle the grants still sitting in the completion heap —
+            // successes into `records`, refusals into `lost` — so
+            // delivered bytes are never invisible to a retry and the
+            // ledger does not depend on which worker thread hit the
+            // fault window first.
+            let mut refused = self.refused;
+            let mut lost = self.lost;
+            let mut records = self.records;
+            for Reverse(c) in self.completions {
+                if let Some(pos) = refused
+                    .iter()
+                    .position(|&(s, d, _)| s == c.src && d == c.dst)
+                {
+                    refused.swap_remove(pos);
+                    lost.push((c.src, c.dst));
+                } else {
+                    records.push(TransferRecord {
+                        src: c.src,
+                        dst: c.dst,
+                        bytes: c.bytes,
+                        start: Millis::new(c.start),
+                        finish: Millis::new(c.finish),
+                    });
+                }
+            }
+            return Err(ShapedFailure {
+                error,
+                trace: self.trace,
+                records,
+                remaining: self
+                    .queues
+                    .iter()
+                    .map(|q| q.iter().copied().collect())
+                    .collect(),
+                send_busy_until: self.send_free_at,
+                recv_busy_until: self.recv_free_at,
+                at: Millis::new(self.failed_at),
+                lost,
+            });
+        }
+        debug_assert_eq!(
+            self.records.len(),
+            self.total,
+            "every message must complete"
+        );
+        let mut records = self.records;
+        records.sort_by(|a, b| {
+            a.finish
+                .as_ms()
+                .total_cmp(&b.finish.as_ms())
+                .then(a.src.cmp(&b.src))
+                .then(a.dst.cmp(&b.dst))
+        });
+        let makespan = records
+            .iter()
+            .map(|r| r.finish)
+            .fold(Millis::ZERO, Millis::max);
+        Ok(ShapedOutcome {
+            trace: self.trace,
+            records,
+            makespan,
+            checkpoints_evaluated: self.checkpoints_evaluated,
+            reschedules: self.reschedules,
+        })
+    }
 }
 
 fn worker<E, T, H>(src: usize, fabric: &Fabric<'_, E, H>, transport: &T)
@@ -536,23 +763,21 @@ where
     T: Transport + ?Sized,
     H: FnMut(&CheckpointView<'_>) -> CheckpointAction,
 {
+    let wakeup = &fabric.wakeups[src];
+    let mut woken = Vec::new();
     let mut guard = fabric.core.lock().expect("fabric mutex poisoned");
     let mut next_arrival = guard.config.start_at.as_ms();
     let pace = guard.config.pace_us_per_ms;
     loop {
-        if guard.failure.is_some() || guard.queues[src].is_empty() {
-            guard.state[src] = WorkerState::Done;
-            guard.advance(&fabric.epoch);
-            fabric.cv.notify_all();
+        let parked = guard.rejoin(src, next_arrival);
+        guard.advance(&fabric.epoch);
+        fabric.release(guard, &mut woken);
+        if !parked {
             return;
         }
-        guard.state[src] = WorkerState::Parked {
-            arrival: next_arrival,
-        };
-        guard.advance(&fabric.epoch);
-        fabric.cv.notify_all();
+        guard = fabric.core.lock().expect("fabric mutex poisoned");
         while guard.assignment[src].is_none() && guard.failure.is_none() {
-            guard = fabric.cv.wait(guard).expect("fabric mutex poisoned");
+            guard = wakeup.wait(guard).expect("fabric mutex poisoned");
         }
         // A grant committed before a failure was flagged is still
         // delivered: its message already left the queues, so unless the
@@ -607,6 +832,9 @@ impl NetworkEvolution for FrozenNetwork {
     fn state_at(&mut self, _t: Millis) -> NetParams {
         self.0.clone()
     }
+    fn link_at(&mut self, _t: Millis, src: usize, dst: usize) -> LinkEstimate {
+        self.0.estimate(src, dst)
+    }
 }
 
 /// Executes the per-sender send lists over `transport`, pricing every
@@ -639,121 +867,66 @@ where
     T: Transport + ?Sized,
     H: FnMut(&CheckpointView<'_>) -> CheckpointAction + Send,
 {
-    let p = evolution.processors();
-    assert_eq!(lists.len(), p, "send lists do not match network size");
-    assert_eq!(sizes.len(), p, "sizes do not match network size");
-    for (src, l) in lists.iter().enumerate() {
-        for &dst in l {
-            assert!(
-                dst < p && dst != src,
-                "invalid destination {dst} for sender {src}"
-            );
-        }
-    }
-    let queues: Vec<VecDeque<usize>> = lists.iter().map(|l| l.iter().copied().collect()).collect();
-    let total: usize = queues.iter().map(|q| q.len()).sum();
-    let start = config.start_at.as_ms();
-    let planning = evolution.planning_estimates();
-    let core = Core {
-        p,
-        queues,
-        state: vec![WorkerState::Running { until: start }; p],
-        assignment: vec![None; p],
-        send_free_at: vec![start; p],
-        recv_free_at: vec![start; p],
-        completions: BinaryHeap::new(),
-        records: Vec::with_capacity(total),
-        trace: RunTrace::new(),
-        completed: 0,
-        total,
-        checkpoints_evaluated: 0,
-        reschedules: 0,
-        failure: None,
-        failed_at: start,
-        lost: Vec::new(),
-        refused: Vec::new(),
-        evolution,
-        planning,
-        sizes,
-        hook,
-        config,
-    };
+    let core = Core::new(lists, sizes, evolution, config, hook);
     let fabric = Fabric {
+        wakeups: (0..core.p).map(|_| Condvar::new()).collect(),
         core: Mutex::new(core),
-        cv: Condvar::new(),
         epoch: Instant::now(),
     };
-
     std::thread::scope(|s| {
-        for src in 0..p {
+        for src in 0..fabric.wakeups.len() {
             let fabric = &fabric;
             s.spawn(move || worker(src, fabric, transport));
         }
     });
+    fabric
+        .core
+        .into_inner()
+        .expect("fabric mutex poisoned")
+        .settle()
+}
 
-    let mut core = fabric.core.into_inner().expect("fabric mutex poisoned");
-    if let Some(error) = core.failure.take() {
-        // The workers are joined, so every committed grant has resolved:
-        // its delivery either succeeded or was refused. Settle the
-        // grants still sitting in the completion heap — successes into
-        // `records`, refusals into `lost` — so delivered bytes are never
-        // invisible to the retry driver and the ledger does not depend
-        // on which worker thread hit the fault window first.
-        let mut refused = std::mem::take(&mut core.refused);
-        let mut lost = std::mem::take(&mut core.lost);
-        let mut records = std::mem::take(&mut core.records);
-        for Reverse(c) in std::mem::take(&mut core.completions) {
-            if let Some(pos) = refused
-                .iter()
-                .position(|&(s, d, _)| s == c.src && d == c.dst)
-            {
-                refused.swap_remove(pos);
-                lost.push((c.src, c.dst));
-            } else {
-                records.push(TransferRecord {
-                    src: c.src,
-                    dst: c.dst,
-                    bytes: c.bytes,
-                    start: Millis::new(c.start),
-                    finish: Millis::new(c.finish),
-                });
-            }
-        }
-        return Err(ShapedFailure {
-            error,
-            trace: core.trace,
-            records,
-            remaining: core
-                .queues
-                .iter()
-                .map(|q| q.iter().copied().collect())
-                .collect(),
-            send_busy_until: core.send_free_at,
-            recv_busy_until: core.recv_free_at,
-            at: Millis::new(core.failed_at),
-            lost,
-        });
-    }
-    debug_assert_eq!(core.records.len(), total, "every message must complete");
-    let mut records = core.records;
-    records.sort_by(|a, b| {
-        a.finish
-            .as_ms()
-            .total_cmp(&b.finish.as_ms())
-            .then(a.src.cmp(&b.src))
-            .then(a.dst.cmp(&b.dst))
+/// Prices `lists` on the calling thread with the same commit engine as
+/// [`run_shaped`]: the timeline of a threaded run whose workers move
+/// their bytes instantly. No transport, pacing or checkpoints are
+/// involved; a non-finite estimate still fails with
+/// [`RuntimeError::CorruptEstimate`], before any thread would start.
+///
+/// Over a [`FrozenNetwork`] the records and makespan are bit-identical
+/// to `run_shaped`'s with the same `start_at` (see the module doc).
+#[allow(clippy::result_large_err)]
+pub fn price_shaped<E: NetworkEvolution>(
+    lists: &[Vec<usize>],
+    sizes: &[Vec<Bytes>],
+    evolution: &mut E,
+    start_at: Millis,
+) -> Result<ShapedOutcome, ShapedFailure> {
+    let config = ShapedConfig {
+        payload_cap: Some(0),
+        start_at,
+        ..Default::default()
+    };
+    let mut core = Core::new(lists, sizes, evolution, config, |_: &CheckpointView<'_>| {
+        CheckpointAction::Continue
     });
-    let makespan = records
-        .iter()
-        .map(|r| r.finish)
-        .fold(Millis::ZERO, Millis::max);
-    Ok(ShapedOutcome {
-        trace: core.trace,
-        records,
-        makespan,
-        checkpoints_evaluated: core.checkpoints_evaluated,
-        reschedules: core.reschedules,
-    })
+    let epoch = Instant::now();
+    for src in 0..core.p {
+        core.rejoin(src, start_at.as_ms());
+    }
+    let mut granted = Vec::with_capacity(core.p);
+    loop {
+        core.advance(&epoch);
+        if core.granted.is_empty() {
+            return core.settle();
+        }
+        std::mem::swap(&mut granted, &mut core.granted);
+        for src in granted.drain(..) {
+            let slip = core.assignment[src]
+                .take()
+                .expect("granted sender holds a slip");
+            core.rejoin(src, slip.finish);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1030,6 +1203,106 @@ mod tests {
         // The popped message is in neither records nor remaining.
         assert!(!failure.remaining[1].contains(&2));
         assert!(!failure.records.iter().any(|r| r.src == 1 && r.dst == 2));
+    }
+
+    /// Runs `f` on its own thread and fails the test if it does not
+    /// return within a minute: a worker parked without a wake would
+    /// otherwise hang the run (and the suite) forever.
+    fn within_watchdog<R: Send + 'static>(f: impl FnOnce() -> R + Send + 'static) -> R {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        rx.recv_timeout(Duration::from_secs(60))
+            .expect("the run hung: a parked worker was never woken")
+    }
+
+    #[test]
+    fn a_refused_delivery_wakes_and_joins_every_worker() {
+        let p = 32;
+        let failure = within_watchdog(move || {
+            let net = hetero_net(p);
+            let sizes = mixed_sizes(p);
+            let order = OpenShop.send_order(&CommMatrix::from_model(&net, &sizes));
+            let transport = RefusingTransport {
+                inner: ChannelTransport::new(p),
+                refuse: (1, 2),
+            };
+            let config = ShapedConfig {
+                payload_cap: Some(64),
+                ..Default::default()
+            };
+            // `run_shaped` returns only after its scope joined all P
+            // workers, so returning at all proves none was left parked.
+            run_shaped(
+                &order.order,
+                &sizes,
+                &mut still(net),
+                &transport,
+                config,
+                |_| CheckpointAction::Continue,
+            )
+            .map(|_| ())
+            .map_err(|f| (f.error.link(), f.lost))
+        })
+        .expect_err("refused delivery must abort the run");
+        assert_eq!(failure, (Some((1, 2)), vec![(1, 2)]));
+    }
+
+    #[test]
+    fn repeated_runs_commit_identical_timelines() {
+        let p = 64;
+        let net = hetero_net(p);
+        let sizes: Vec<Vec<Bytes>> = (0..p)
+            .map(|s| {
+                (0..p)
+                    .map(|d| {
+                        if s == d {
+                            Bytes::ZERO
+                        } else {
+                            Bytes::from_kb(1)
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let order = OpenShop.send_order(&CommMatrix::from_model(&net, &sizes));
+        let run = || {
+            let transport = ChannelTransport::new(p);
+            let out = run_shaped(
+                &order.order,
+                &sizes,
+                &mut FrozenNetwork(net.clone()),
+                &transport,
+                ShapedConfig::default(),
+                |_| CheckpointAction::Continue,
+            )
+            .expect("a frozen network cannot fault");
+            let records: Vec<_> = out
+                .records
+                .iter()
+                .map(|r| {
+                    (
+                        r.src,
+                        r.dst,
+                        r.start.as_ms().to_bits(),
+                        r.finish.as_ms().to_bits(),
+                    )
+                })
+                .collect();
+            let events: Vec<_> = out
+                .trace
+                .events
+                .iter()
+                .map(|e| (e.kind, e.src, e.dst, e.modeled.as_ms().to_bits()))
+                .collect();
+            (records, events)
+        };
+        let first = run();
+        assert_eq!(first.0.len(), p * (p - 1));
+        for _ in 1..5 {
+            assert_eq!(run(), first, "thread scheduling leaked into the timeline");
+        }
     }
 
     #[test]

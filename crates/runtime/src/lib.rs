@@ -14,6 +14,8 @@
 //!
 //! On top of the engine:
 //!
+//! * [`channel::price_shaped`] — the same commit engine on the calling
+//!   thread, which prices a plan without spawning workers;
 //! * [`transport`] — the physical byte path: in-process shaped channels
 //!   or genuinely concurrent loopback TCP ([`tcp`]);
 //! * [`trace`] — per-event traces stamped in wall *and* modeled time,
@@ -69,8 +71,8 @@ pub use adapt::{
 };
 pub use adaptcomm_sim::dynamic::Replanner;
 pub use channel::{
-    run_shaped, CheckpointAction, CheckpointView, FaultPolicy, FrozenNetwork, ShapedConfig,
-    ShapedFailure, ShapedOutcome,
+    price_shaped, run_shaped, CheckpointAction, CheckpointView, FaultPolicy, FrozenNetwork,
+    ShapedConfig, ShapedFailure, ShapedOutcome,
 };
 pub use error::RuntimeError;
 pub use prober::{LinkMeasurement, MeasurementTamper, Prober, PublishOutcome, TrustPolicy};

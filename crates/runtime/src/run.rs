@@ -7,7 +7,7 @@
 //! live runs and simulated runs uniformly.
 
 use crate::adapt::{AdaptReport, AdaptSettings, CheckpointedRun};
-use crate::channel::{run_shaped, CheckpointAction, ShapedConfig};
+use crate::channel::{price_shaped, run_shaped, CheckpointAction, FrozenNetwork, ShapedConfig};
 use crate::error::RuntimeError;
 use crate::tcp::TcpTransport;
 use crate::trace::RunTrace;
@@ -92,6 +92,10 @@ fn finish_transport(
 }
 
 /// Executes `lists` statically (no adaptation) on `backend`.
+///
+/// The plan is first priced on the planning estimates
+/// ([`RunReport::planned_makespan`]); an estimate the engine rejects
+/// fails the call with its typed error before any worker starts.
 pub fn execute<E>(
     lists: &[Vec<usize>],
     sizes: &[Vec<Bytes>],
@@ -103,7 +107,7 @@ where
     E: NetworkEvolution + Send,
 {
     let p = evolution.processors();
-    let planned_makespan = plan_makespan(lists, sizes, evolution);
+    let planned_makespan = plan_makespan(lists, sizes, evolution)?;
     let (mut channel, mut tcp) = (None, None);
     let transport: &dyn Transport = match backend {
         BackendKind::Channel => channel.insert(ChannelTransport::new(p)),
@@ -199,27 +203,16 @@ fn plan_makespan<E: NetworkEvolution>(
     lists: &[Vec<usize>],
     sizes: &[Vec<Bytes>],
     evolution: &E,
-) -> Millis {
-    let params = evolution.planning_estimates();
-    let p = params.len();
-    let mut frozen = crate::channel::FrozenNetwork(params);
-    let sink = ChannelTransport::new(p);
-    // The pricing pass needs no physical bytes.
-    let config = ShapedConfig {
-        payload_cap: Some(0),
-        ..Default::default()
-    };
-    run_shaped(lists, sizes, &mut frozen, &sink, config, |_| {
-        CheckpointAction::Continue
-    })
-    .map(|o| o.makespan)
-    .unwrap_or(Millis::ZERO)
+) -> Result<Millis, RuntimeError> {
+    let mut frozen = FrozenNetwork(evolution.planning_estimates());
+    price_shaped(lists, sizes, &mut frozen, Millis::ZERO)
+        .map(|o| o.makespan)
+        .map_err(|f| f.error)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::channel::FrozenNetwork;
     use adaptcomm_core::algorithms::{OpenShop, Scheduler};
     use adaptcomm_core::matrix::CommMatrix;
     use adaptcomm_model::cost::LinkEstimate;
@@ -284,6 +277,50 @@ mod tests {
         assert_eq!(a.backend, "channel");
         assert_eq!(b.backend, "tcp");
         assert!((a.planned_makespan.as_ms() - a.makespan.as_ms()).abs() < 1e-6);
+    }
+
+    /// A network whose planning estimate for `0 -> 1` has a NaN
+    /// startup (struct literal: `LinkEstimate::new` would assert) and
+    /// whose live state must never be consulted.
+    struct PoisonedPlanning(NetParams);
+
+    impl NetworkEvolution for PoisonedPlanning {
+        fn processors(&self) -> usize {
+            self.0.len()
+        }
+        fn planning_estimates(&self) -> NetParams {
+            let mut net = self.0.clone();
+            let e = net.estimate(0, 1);
+            net.set_estimate(
+                0,
+                1,
+                LinkEstimate {
+                    startup: Millis::new(f64::NAN),
+                    bandwidth: e.bandwidth,
+                },
+            );
+            net
+        }
+        fn state_at(&mut self, _t: Millis) -> NetParams {
+            panic!("pricing failed, so the live run must not start");
+        }
+    }
+
+    #[test]
+    fn a_corrupt_planning_estimate_fails_typed_before_the_run() {
+        let (net, sizes, lists) = setup(4);
+        let err = execute(
+            &lists,
+            &sizes,
+            &mut PoisonedPlanning(net),
+            BackendKind::Channel,
+            ShapedConfig::default(),
+        )
+        .expect_err("a NaN planning estimate cannot be priced");
+        assert!(
+            matches!(err, RuntimeError::CorruptEstimate { src: 0, dst: 1, .. }),
+            "got {err:?}"
+        );
     }
 
     #[test]

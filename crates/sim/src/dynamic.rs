@@ -25,7 +25,7 @@ use adaptcomm_core::checkpointed::{CheckpointPolicy, RescheduleRule};
 use adaptcomm_core::execution::execute_listed;
 use adaptcomm_core::matrix::CommMatrix;
 use adaptcomm_core::schedule::SendOrder;
-use adaptcomm_model::cost::CostModel;
+use adaptcomm_model::cost::{CostModel, LinkEstimate};
 use adaptcomm_model::params::NetParams;
 use adaptcomm_model::units::{Bytes, Millis};
 use adaptcomm_model::variation::VariationTrace;
@@ -48,6 +48,14 @@ pub trait NetworkEvolution {
 
     /// The live network state at time `t` (non-decreasing queries).
     fn state_at(&mut self, t: Millis) -> NetParams;
+
+    /// The live estimate of one directed link at time `t`: exactly
+    /// `state_at(t).estimate(src, dst)`, under the same time-order
+    /// contract (a query advances the evolution like `state_at` does).
+    /// Implementations override it to skip building the whole table.
+    fn link_at(&mut self, t: Millis, src: usize, dst: usize) -> LinkEstimate {
+        self.state_at(t).estimate(src, dst)
+    }
 }
 
 impl NetworkEvolution for VariationTrace {
@@ -62,6 +70,10 @@ impl NetworkEvolution for VariationTrace {
     fn state_at(&mut self, t: Millis) -> NetParams {
         self.snapshot_at(t)
     }
+
+    fn link_at(&mut self, t: Millis, src: usize, dst: usize) -> LinkEstimate {
+        VariationTrace::link_at(self, t, src, dst)
+    }
 }
 
 impl NetworkEvolution for adaptcomm_model::trace_io::RecordedTrace {
@@ -75,6 +87,10 @@ impl NetworkEvolution for adaptcomm_model::trace_io::RecordedTrace {
 
     fn state_at(&mut self, t: Millis) -> NetParams {
         adaptcomm_model::trace_io::RecordedTrace::state_at(self, t).clone()
+    }
+
+    fn link_at(&mut self, t: Millis, src: usize, dst: usize) -> LinkEstimate {
+        adaptcomm_model::trace_io::RecordedTrace::state_at(self, t).estimate(src, dst)
     }
 }
 

@@ -8,6 +8,7 @@
 //! events that pure stochastic drift would only blur.
 
 use crate::dynamic::NetworkEvolution;
+use adaptcomm_model::cost::LinkEstimate;
 use adaptcomm_model::params::NetParams;
 use adaptcomm_model::units::Millis;
 
@@ -67,6 +68,29 @@ impl ScriptedFaults {
     pub fn script(&self) -> &[Fault] {
         &self.script
     }
+
+    /// Applies every script entry due by `t`.
+    fn apply_until(&mut self, t: Millis) {
+        let p = self.base.len();
+        while self.cursor < self.script.len()
+            && self.script[self.cursor].at.as_ms() <= t.as_ms() + 1e-12
+        {
+            let f = self.script[self.cursor];
+            self.multipliers[f.src * p + f.dst] = f.factor;
+            self.cursor += 1;
+        }
+    }
+
+    /// The estimate of `(src, dst)` under the multipliers applied so far.
+    fn link(&self, src: usize, dst: usize) -> LinkEstimate {
+        let e = self.base.estimate(src, dst);
+        let m = self.multipliers[src * self.base.len() + dst];
+        if src == dst || m == 1.0 {
+            e
+        } else {
+            LinkEstimate::new(e.startup, e.bandwidth.scaled(m))
+        }
+    }
 }
 
 impl NetworkEvolution for ScriptedFaults {
@@ -79,26 +103,13 @@ impl NetworkEvolution for ScriptedFaults {
     }
 
     fn state_at(&mut self, t: Millis) -> NetParams {
-        let p = self.base.len();
-        while self.cursor < self.script.len()
-            && self.script[self.cursor].at.as_ms() <= t.as_ms() + 1e-12
-        {
-            let f = self.script[self.cursor];
-            self.multipliers[f.src * p + f.dst] = f.factor;
-            self.cursor += 1;
-        }
-        let mut out = self.base.clone();
-        for src in 0..p {
-            for dst in 0..p {
-                if src != dst {
-                    let m = self.multipliers[src * p + dst];
-                    if m != 1.0 {
-                        out.scale_bandwidth(src, dst, m);
-                    }
-                }
-            }
-        }
-        out
+        self.apply_until(t);
+        NetParams::from_fn(self.base.len(), |src, dst| self.link(src, dst))
+    }
+
+    fn link_at(&mut self, t: Millis, src: usize, dst: usize) -> LinkEstimate {
+        self.apply_until(t);
+        self.link(src, dst)
     }
 }
 
