@@ -15,9 +15,15 @@ const FLAG_KEYS: &[&str] = &[
 ];
 
 impl Options {
-    /// Parses the argument list following the subcommand.
+    /// Parses the argument list following the subcommand. A `--help` or
+    /// `-h` anywhere in it yields just the `help` flag, whatever else the
+    /// list holds.
     pub fn parse(args: &[String]) -> Result<Options, String> {
         let mut out = Options::default();
+        if args.iter().any(|a| a == "--help" || a == "-h") {
+            out.flags.push("help".to_string());
+            return Ok(out);
+        }
         let mut i = 0;
         while i < args.len() {
             let arg = &args[i];
@@ -99,6 +105,21 @@ mod tests {
         assert!(Options::parse(&strs(&["--p"])).is_err());
         assert!(Options::parse(&strs(&["--p", "--diagram"])).is_err());
         assert!(Options::parse(&strs(&["stray"])).is_err());
+    }
+
+    #[test]
+    fn help_anywhere_is_the_help_flag() {
+        for argv in [
+            &["--help"][..],
+            &["-h"],
+            &["--p", "8", "--help"],
+            &["--p", "--help"],
+            &["-h", "stray"],
+        ] {
+            let o = Options::parse(&strs(argv)).unwrap();
+            assert!(o.flag("help"), "{argv:?}");
+        }
+        assert!(!Options::parse(&strs(&["--p", "8"])).unwrap().flag("help"));
     }
 
     #[test]

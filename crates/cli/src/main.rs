@@ -217,6 +217,10 @@ fn run() -> Result<(), String> {
         return Ok(());
     };
     let opts = args::Options::parse(&argv[1..])?;
+    if opts.flag("help") {
+        print!("{HELP}");
+        return Ok(());
+    }
 
     match command.as_str() {
         "help" | "--help" | "-h" => {

@@ -10,62 +10,17 @@
 //! receiver acknowledges requests in arrival order (FCFS, ties broken by
 //! sender id for determinism).
 //!
-//! [`execute_listed`] implements exactly that semantics as a
-//! deterministic discrete-event computation. [`execute_steps`] implements
-//! the *synchronized* variant that inserts a barrier between steps — the
-//! paper points out schedules do **not** need this; we keep it as an
-//! ablation to quantify what the barrier would cost.
+//! [`execute_listed`] prices that rule, as run by the shared
+//! [`PortEngine`] (see [`crate::port`] for the ordering), from a
+//! [`CommMatrix`]. [`execute_steps`] implements the *synchronized*
+//! variant that inserts a barrier between steps — the paper points out
+//! schedules do **not** need this; we keep it as an ablation to quantify
+//! what the barrier would cost.
 
 use crate::matrix::CommMatrix;
+use crate::port::{PortEngine, Step};
 use crate::schedule::{Schedule, ScheduledEvent, SendOrder};
 use adaptcomm_model::units::Millis;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-/// Which execution semantics to apply to an abstract send order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecutionPolicy {
-    /// As-soon-as-possible execution with FCFS receiver grants
-    /// (the paper's semantics).
-    Asap,
-}
-
-impl ExecutionPolicy {
-    /// Executes a send order under this policy.
-    pub fn execute(self, order: &SendOrder, matrix: &CommMatrix) -> Schedule {
-        match self {
-            ExecutionPolicy::Asap => execute_listed(order, matrix),
-        }
-    }
-}
-
-/// Totally ordered event-queue key: `(time, kind, processor)`.
-///
-/// Kind 0 = a sender becomes ready to request its next transfer; kind 1 =
-/// a receiver finishes a transfer and may grant the next request. Arrival
-/// events sort before receiver-free events at the same timestamp, so a
-/// grant at time `t` considers every request that arrived at or before
-/// `t`; the processor id breaks remaining ties deterministically.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Key(f64, u8, usize);
-
-impl Eq for Key {}
-impl PartialOrd for Key {
-    fn partial_cmp(&self, o: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(o))
-    }
-}
-impl Ord for Key {
-    fn cmp(&self, o: &Self) -> std::cmp::Ordering {
-        self.0
-            .total_cmp(&o.0)
-            .then(self.1.cmp(&o.1))
-            .then(self.2.cmp(&o.2))
-    }
-}
-
-const SENDER_READY: u8 = 0;
-const RECEIVER_FREE: u8 = 1;
 
 /// Executes an abstract send order against a communication matrix under
 /// ASAP / FCFS semantics, producing a concrete schedule.
@@ -76,77 +31,28 @@ const RECEIVER_FREE: u8 = 1;
 pub fn execute_listed(order: &SendOrder, matrix: &CommMatrix) -> Schedule {
     let p = matrix.len();
     assert_eq!(order.processors(), p, "order and matrix disagree on P");
-
-    let mut heap: BinaryHeap<Reverse<Key>> = BinaryHeap::new();
-    // Requests pending per receiver: (request_time, src), granted FCFS.
-    let mut pending: Vec<Vec<(f64, usize)>> = vec![Vec::new(); p];
-    let mut receiver_busy = vec![false; p];
-    let mut next_index = vec![0usize; p];
-    let mut events_out: Vec<ScheduledEvent> = Vec::with_capacity(p * p.saturating_sub(1));
-
-    // Starts the transfer src→dst at `now`, booking the receiver and
-    // scheduling both follow-up events at the finish time.
-    macro_rules! start_transfer {
-        ($src:expr, $dst:expr, $now:expr) => {{
-            let (src, dst, now) = ($src, $dst, $now);
-            let finish = now + matrix.cost(src, dst).as_ms();
-            events_out.push(ScheduledEvent {
-                src,
-                dst,
-                start: Millis::new(now),
-                finish: Millis::new(finish),
-            });
-            receiver_busy[dst] = true;
-            next_index[src] += 1;
-            heap.push(Reverse(Key(finish, SENDER_READY, src)));
-            heap.push(Reverse(Key(finish, RECEIVER_FREE, dst)));
-        }};
-    }
-
+    let mut port = PortEngine::new(&order.order, 0.0).grants_only();
     for src in 0..p {
-        heap.push(Reverse(Key(0.0, SENDER_READY, src)));
+        port.request(src, 0.0);
     }
-
-    while let Some(Reverse(Key(now, kind, who))) = heap.pop() {
-        match kind {
-            SENDER_READY => {
-                let src = who;
-                let idx = next_index[src];
-                if idx >= order.order[src].len() {
-                    continue; // sender finished all its messages
-                }
-                let dst = order.order[src][idx];
-                if receiver_busy[dst] {
-                    pending[dst].push((now, src));
-                } else {
-                    start_transfer!(src, dst, now);
-                }
-            }
-            _ => {
-                let dst = who;
-                receiver_busy[dst] = false;
-                if pending[dst].is_empty() {
-                    continue;
-                }
-                // Grant the earliest request (FCFS; ties to lower src id).
-                let best = pending[dst]
-                    .iter()
-                    .enumerate()
-                    .min_by(|(_, a), (_, b)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
-                    .map(|(k, _)| k)
-                    .expect("non-empty");
-                let (_, src) = pending[dst].swap_remove(best);
-                start_transfer!(src, dst, now);
-            }
-        }
+    let mut events = Vec::with_capacity(p * p.saturating_sub(1));
+    while let Some(Step::Grant { src, dst, at, .. }) = port.next(f64::INFINITY) {
+        let finish = at + matrix.cost(src, dst).as_ms();
+        port.start(src, dst, finish);
+        port.request(src, finish);
+        events.push(ScheduledEvent {
+            src,
+            dst,
+            start: Millis::new(at),
+            finish: Millis::new(finish),
+        });
     }
-
     debug_assert_eq!(
-        events_out.len(),
+        events.len(),
         p * p.saturating_sub(1),
         "all transfers executed"
     );
-    Schedule::new(matrix.clone(), events_out)
+    Schedule::new(matrix.clone(), events)
 }
 
 /// Executes a step-structured schedule with *pairwise* step ordering and
@@ -415,15 +321,5 @@ mod tests {
         let s = execute_listed(&caterpillar_order(4), &m);
         s.validate().unwrap();
         assert_eq!(s.completion_time().as_ms(), 0.0);
-    }
-
-    #[test]
-    fn policy_enum_delegates() {
-        let m = matrix();
-        let o = caterpillar_order(3);
-        assert_eq!(
-            ExecutionPolicy::Asap.execute(&o, &m).completion_time(),
-            execute_listed(&o, &m).completion_time()
-        );
     }
 }

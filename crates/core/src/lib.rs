@@ -64,6 +64,7 @@ pub mod improve;
 pub mod incremental;
 pub mod matrix;
 pub mod paper;
+pub mod port;
 pub mod qos;
 pub mod reduction;
 pub mod schedule;
@@ -74,7 +75,7 @@ pub mod prelude {
     pub use crate::algorithms::{
         Baseline, Greedy, MatchingKind, MatchingScheduler, OpenShop, Scheduler,
     };
-    pub use crate::execution::{execute_listed, ExecutionPolicy};
+    pub use crate::execution::execute_listed;
     pub use crate::matrix::CommMatrix;
     pub use crate::schedule::{Schedule, ScheduledEvent, SendOrder};
     pub use adaptcomm_model::units::{Bandwidth, Bytes, Millis};

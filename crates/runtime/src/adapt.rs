@@ -50,7 +50,7 @@ use adaptcomm_model::params::NetParams;
 use adaptcomm_model::units::{Bytes, Millis};
 use adaptcomm_obs::{Cusum, CusumConfig};
 use adaptcomm_sim::dynamic::{matching_replan, openshop_replan, Replanner};
-use adaptcomm_sim::executor::TransferRecord;
+use adaptcomm_sim::executor::{SimRun, TransferRecord};
 use adaptcomm_sim::NetworkEvolution;
 use std::path::PathBuf;
 
@@ -611,18 +611,8 @@ impl<'a> CheckpointedRun<'a> {
     /// Sorts records, computes the makespan, backfills measured
     /// recovery times, snapshots quarantines, and closes telemetry.
     fn finalize(&self, mut report: AdaptReport, telemetry: &mut Option<Telemetry>) -> AdaptReport {
-        report.records.sort_by(|a, b| {
-            a.finish
-                .as_ms()
-                .total_cmp(&b.finish.as_ms())
-                .then(a.src.cmp(&b.src))
-                .then(a.dst.cmp(&b.dst))
-        });
-        report.makespan = report
-            .records
-            .iter()
-            .map(|r| r.finish)
-            .fold(Millis::ZERO, Millis::max);
+        let run = SimRun::from_records(std::mem::take(&mut report.records));
+        (report.records, report.makespan) = (run.records, run.makespan);
         // A fault's recovery time is measured, not assumed: the finish
         // of the first transfer that actually crossed the failed link
         // after detection.

@@ -12,25 +12,22 @@
 //! # Determinism: virtual time over real threads
 //!
 //! Wall-clock thread scheduling is nondeterministic, so the fabric keeps
-//! its own virtual clock and only commits an action (a grant, or the
-//! bookkeeping of a completion) when no thread still out of the monitor
-//! could invalidate it. A worker outside the monitor is `Running { until }`
-//! — its next request cannot arrive before `until`, because a request
-//! follows the modeled finish of its in-flight transfer. A grant at
-//! modeled time `s` is committed only once every running worker has
-//! `until > s`; otherwise the fabric simply waits for those threads to
-//! park, which they always do. Committed actions therefore happen in
-//! nondecreasing modeled time regardless of how the OS schedules the
-//! threads, and the realized timeline is bit-identical to the
-//! discrete-event simulator's — which is what makes the 5%
-//! cross-validation bound in the tests an actual invariant rather than a
-//! statistical hope.
+//! a virtual clock: the port rule itself is the shared commit engine
+//! [`adaptcomm_core::port::PortEngine`], the same one the simulator and
+//! `execute_listed` drive. A worker outside the monitor is *running*
+//! until the modeled finish of its transfer, because its next request
+//! follows that finish. The fabric asks the engine only for steps
+//! strictly before the earliest such instant (the engine's *horizon*)
+//! and otherwise waits for those threads to re-enter, which they always
+//! do. No later request can then precede a committed step, so the
+//! committed sequence is the single-threaded engine's whatever the OS
+//! scheduling, and the realized timeline is bit-identical to the
+//! simulator's over the same network.
 //!
-//! Checkpoints (§6.3) fire while processing a completion, under the
-//! fabric lock: the hook sees consistent remaining queues and port
-//! availability, and may hand back replanned queues, exactly like
-//! `adaptcomm_sim::dynamic::run_adaptive` does at its `Completed`
-//! events.
+//! Checkpoints (§6.3) fire at completion steps, under the fabric lock:
+//! the hook sees consistent remaining queues and port availability, and
+//! may hand back replanned queues, exactly where
+//! `adaptcomm_sim::dynamic::run_adaptive` evaluates its checkpoints.
 //!
 //! # Wake rule
 //!
@@ -60,10 +57,11 @@ use crate::error::RuntimeError;
 use crate::trace::{EventKind, RunTrace, RuntimeEvent};
 use crate::transport::{fill_payload, physical_len, Transport};
 use adaptcomm_core::checkpointed::CheckpointPolicy;
+use adaptcomm_core::port::{At, PortEngine, Step};
 use adaptcomm_model::cost::LinkEstimate;
 use adaptcomm_model::params::NetParams;
 use adaptcomm_model::units::{Bytes, Millis};
-use adaptcomm_sim::executor::TransferRecord;
+use adaptcomm_sim::executor::{SimRun, TransferRecord};
 use adaptcomm_sim::NetworkEvolution;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -207,17 +205,6 @@ impl ShapedFailure {
 }
 
 #[derive(Debug, Clone, Copy)]
-enum WorkerState {
-    /// Out of the monitor; the next request arrives no earlier than
-    /// `until` (modeled).
-    Running { until: f64 },
-    /// Waiting for a grant since `arrival` (modeled).
-    Parked { arrival: f64 },
-    /// Send list drained (or run aborted).
-    Done,
-}
-
-#[derive(Debug, Clone, Copy)]
 struct GrantSlip {
     dst: usize,
     start: f64,
@@ -225,78 +212,28 @@ struct GrantSlip {
     physical: usize,
 }
 
-/// Heap entry ordered by `(at, id)`: a parked request `(arrival, src)`
-/// in its receiver's queue, or a running worker `(until, src)`.
-#[derive(Debug, Clone, Copy)]
-struct Stamp {
-    at: f64,
-    id: usize,
-}
-
-impl PartialEq for Stamp {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
-    }
-}
-impl Eq for Stamp {}
-impl PartialOrd for Stamp {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Stamp {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.at.total_cmp(&other.at).then(self.id.cmp(&other.id))
-    }
-}
-
-/// Heap entry ordered by `(finish, src, dst)`.
-#[derive(Debug, Clone, Copy)]
-struct Completion {
-    finish: f64,
-    src: usize,
-    dst: usize,
-    start: f64,
-    bytes: Bytes,
-}
-
-impl PartialEq for Completion {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
-    }
-}
-impl Eq for Completion {}
-impl PartialOrd for Completion {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Completion {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.finish
-            .total_cmp(&other.finish)
-            .then(self.src.cmp(&other.src))
-            .then(self.dst.cmp(&other.dst))
-    }
+/// Removes and returns the transport's refusal of `link`, if any.
+fn take_refusal(
+    refused: &mut Vec<(usize, usize, RuntimeError)>,
+    link: (usize, usize),
+) -> Option<RuntimeError> {
+    let pos = refused.iter().position(|&(s, d, _)| (s, d) == link)?;
+    Some(refused.swap_remove(pos).2)
 }
 
 struct Core<'a, E, H> {
-    p: usize,
-    queues: Vec<VecDeque<usize>>,
-    state: Vec<WorkerState>,
-    /// Per receiver, the parked senders whose next message goes there,
-    /// keyed `(arrival, src)`: the top is the receiver's FCFS winner.
-    requests: Vec<BinaryHeap<Reverse<Stamp>>>,
-    /// `(until, src)` of running workers. Entries go stale when their
-    /// worker parks or retires and are dropped lazily on lookup.
-    running: BinaryHeap<Reverse<Stamp>>,
+    port: PortEngine,
+    /// `Some(until)` while worker `src` is out of the monitor: its next
+    /// request arrives no earlier than `until` (modeled).
+    until: Vec<Option<f64>>,
+    /// `(until, src)` of running workers, whose minimum is the engine's
+    /// horizon. Entries go stale when their worker rejoins and are
+    /// dropped lazily on lookup.
+    running: BinaryHeap<Reverse<At<usize>>>,
     /// Senders granted since the caller of `advance` last collected
     /// them: the only workers a commit can unblock.
     granted: Vec<usize>,
     assignment: Vec<Option<GrantSlip>>,
-    send_free_at: Vec<f64>,
-    recv_free_at: Vec<f64>,
-    completions: BinaryHeap<Reverse<Completion>>,
     records: Vec<TransferRecord>,
     trace: RunTrace,
     completed: usize,
@@ -362,30 +299,15 @@ where
         let p = evolution.processors();
         assert_eq!(lists.len(), p, "send lists do not match network size");
         assert_eq!(sizes.len(), p, "sizes do not match network size");
-        for (src, l) in lists.iter().enumerate() {
-            for &dst in l {
-                assert!(
-                    dst < p && dst != src,
-                    "invalid destination {dst} for sender {src}"
-                );
-            }
-        }
-        let queues: Vec<VecDeque<usize>> =
-            lists.iter().map(|l| l.iter().copied().collect()).collect();
-        let total: usize = queues.iter().map(|q| q.len()).sum();
+        let total: usize = lists.iter().map(Vec::len).sum();
         let start = config.start_at.as_ms();
         let planning = evolution.planning_estimates();
         Core {
-            p,
-            queues,
-            state: vec![WorkerState::Running { until: start }; p],
-            requests: vec![BinaryHeap::new(); p],
-            running: (0..p).map(|id| Reverse(Stamp { at: start, id })).collect(),
+            port: PortEngine::new(lists, start),
+            until: vec![Some(start); p],
+            running: (0..p).map(|id| Reverse(At(start, id))).collect(),
             granted: Vec::with_capacity(p),
             assignment: vec![None; p],
-            send_free_at: vec![start; p],
-            recv_free_at: vec![start; p],
-            completions: BinaryHeap::new(),
             records: Vec::with_capacity(total),
             trace: RunTrace {
                 events: Vec::with_capacity(3 * total),
@@ -406,25 +328,12 @@ where
         }
     }
 
-    /// Worker `src` enters the monitor at modeled `arrival`: it parks a
-    /// request for its next message, or retires once its list is drained
-    /// or the run has failed. Returns whether it parked.
+    /// Worker `src` enters the monitor at modeled `arrival`: it requests
+    /// its next message, or retires once its list is drained or the run
+    /// has failed. Returns whether it requested.
     fn rejoin(&mut self, src: usize, arrival: f64) -> bool {
-        let next = self.queues[src].front().copied();
-        match next {
-            Some(dst) if self.failure.is_none() => {
-                self.state[src] = WorkerState::Parked { arrival };
-                self.requests[dst].push(Reverse(Stamp {
-                    at: arrival,
-                    id: src,
-                }));
-                true
-            }
-            _ => {
-                self.state[src] = WorkerState::Done;
-                false
-            }
-        }
+        self.until[src] = None;
+        self.failure.is_none() && self.port.request(src, arrival)
     }
 
     fn push_event(
@@ -455,49 +364,25 @@ where
     /// The earliest modeled instant at which a worker still out of the
     /// monitor could submit a request.
     fn min_running(&mut self) -> f64 {
-        while let Some(&Reverse(Stamp { at, id })) = self.running.peek() {
-            match self.state[id] {
-                WorkerState::Running { until } if until.to_bits() == at.to_bits() => return at,
-                _ => {
-                    self.running.pop();
-                }
+        while let Some(&Reverse(At(at, id))) = self.running.peek() {
+            if self.until[id].is_some_and(|until| until.to_bits() == at.to_bits()) {
+                return at;
             }
+            self.running.pop();
         }
         f64::INFINITY
     }
 
-    /// The best grantable request: per receiver, parked requests are
-    /// served FCFS with ties to the lower sender id; among receivers,
-    /// the earliest `(start, dst)` wins. Returns `(start, arrival, src,
-    /// dst)`.
-    fn best_candidate(&self) -> Option<(f64, f64, usize, usize)> {
-        let mut best: Option<(f64, f64, usize, usize)> = None;
-        for (dst, heap) in self.requests.iter().enumerate() {
-            if let Some(&Reverse(Stamp {
-                at: arrival,
-                id: src,
-            })) = heap.peek()
-            {
-                let start = arrival.max(self.recv_free_at[dst]);
-                let key = (start, dst);
-                if best.is_none_or(|(bs, _, _, bd)| key < (bs, bd)) {
-                    best = Some((start, arrival, src, dst));
-                }
-            }
-        }
-        best
-    }
-
-    fn commit_grant(&mut self, start: f64, arrival: f64, src: usize, dst: usize, epoch: &Instant) {
+    fn commit_grant(&mut self, src: usize, dst: usize, arrival: f64, start: f64, epoch: &Instant) {
         let bytes = self.sizes[src][dst];
-        // A non-finite live estimate is a poisoned model, not a slow
-        // link: it must never reach the `<=` comparison below (NaN
-        // compares false against any threshold) or the calendar (a NaN
+        // A non-finite or negative live estimate is a poisoned model, not
+        // a slow link: it must never reach the `<=` comparison below (NaN
+        // compares false against any threshold) or the engine (a NaN
         // finish wedges the virtual clock).
         let live = self.evolution.link_at(Millis::new(start), src, dst);
         let kbps = live.bandwidth.as_kbps();
         let dur = live.message_time(bytes).as_ms();
-        if !kbps.is_finite() || !dur.is_finite() {
+        if !kbps.is_finite() || !dur.is_finite() || dur < 0.0 {
             self.fail(
                 RuntimeError::CorruptEstimate {
                     src,
@@ -543,17 +428,10 @@ where
             }
         }
         let finish = start + dur;
-        let served = self.requests[dst].pop();
-        debug_assert_eq!(served.map(|Reverse(r)| r.id), Some(src));
-        self.queues[src].pop_front();
-        self.state[src] = WorkerState::Running { until: finish };
-        self.running.push(Reverse(Stamp {
-            at: finish,
-            id: src,
-        }));
+        self.port.start(src, dst, finish);
+        self.until[src] = Some(finish);
+        self.running.push(Reverse(At(finish, src)));
         self.granted.push(src);
-        self.send_free_at[src] = finish;
-        self.recv_free_at[dst] = finish;
         self.assignment[src] = Some(GrantSlip {
             dst,
             start,
@@ -562,41 +440,35 @@ where
         });
         self.push_event(EventKind::Request, src, dst, arrival, epoch);
         self.push_event(EventKind::Grant, src, dst, start, epoch);
-        self.completions.push(Reverse(Completion {
-            finish,
-            src,
-            dst,
-            start,
-            bytes,
-        }));
     }
 
-    fn commit_completion(&mut self, c: Completion, epoch: &Instant) {
-        self.completions.pop();
+    fn commit_completion(
+        &mut self,
+        src: usize,
+        dst: usize,
+        start: f64,
+        finish: f64,
+        epoch: &Instant,
+    ) {
         // A completion commits only once its sender has moved past the
-        // delivery (`min_running > finish`), so by now the transport's
-        // verdict is registered: a refused delivery becomes the run's
-        // failure at its modeled finish — the earliest refusal in
-        // modeled order wins, not the first worker thread to notice.
-        if let Some(pos) = self
-            .refused
-            .iter()
-            .position(|&(s, d, _)| s == c.src && d == c.dst)
-        {
-            let (_, _, error) = self.refused.swap_remove(pos);
-            self.lost.push((c.src, c.dst));
-            self.fail(error, c.finish);
+        // delivery (the horizon is beyond `finish`), so by now the
+        // transport's verdict is registered: a refused delivery becomes
+        // the run's failure at its modeled finish — the earliest refusal
+        // in modeled order wins, not the first worker thread to notice.
+        if let Some(error) = take_refusal(&mut self.refused, (src, dst)) {
+            self.lost.push((src, dst));
+            self.fail(error, finish);
             return;
         }
         self.completed += 1;
         self.records.push(TransferRecord {
-            src: c.src,
-            dst: c.dst,
-            bytes: c.bytes,
-            start: Millis::new(c.start),
-            finish: Millis::new(c.finish),
+            src,
+            dst,
+            bytes: self.sizes[src][dst],
+            start: Millis::new(start),
+            finish: Millis::new(finish),
         });
-        self.push_event(EventKind::Complete, c.src, c.dst, c.finish, epoch);
+        self.push_event(EventKind::Complete, src, dst, finish, epoch);
 
         if !self.config.policy.is_checkpoint(self.completed, self.total) {
             return;
@@ -605,82 +477,38 @@ where
         let view = CheckpointView {
             completed: self.completed,
             total: self.total,
-            now: Millis::new(c.finish),
-            remaining: &self.queues,
-            send_busy_until: &self.send_free_at,
-            recv_busy_until: &self.recv_free_at,
+            now: Millis::new(finish),
+            remaining: self.port.queues(),
+            send_busy_until: self.port.send_free(),
+            recv_busy_until: self.port.recv_free(),
             records: &self.records,
         };
-        if let CheckpointAction::Replan(new_queues) = (self.hook)(&view) {
-            assert_eq!(new_queues.len(), self.p, "replan changed processor count");
-            for (src, (old, new)) in self.queues.iter().zip(&new_queues).enumerate() {
-                let mut a: Vec<usize> = old.iter().copied().collect();
-                let mut b: Vec<usize> = new.iter().copied().collect();
-                a.sort_unstable();
-                b.sort_unstable();
-                assert_eq!(a, b, "replan changed sender {src}'s remaining messages");
-            }
+        if let CheckpointAction::Replan(queues) = (self.hook)(&view) {
             self.reschedules += 1;
-            self.queues = new_queues;
-            // Pending requests are cancelled and re-issued at the
-            // checkpoint instant, matching the simulator's replan.
-            self.requests.iter_mut().for_each(BinaryHeap::clear);
-            for src in 0..self.p {
-                if let WorkerState::Parked { arrival } = self.state[src] {
-                    let at = arrival.max(c.finish);
-                    self.state[src] = WorkerState::Parked { arrival: at };
-                    if let Some(&dst) = self.queues[src].front() {
-                        self.requests[dst].push(Reverse(Stamp { at, id: src }));
-                    }
-                }
-            }
+            self.port.replan(queues);
         }
     }
 
-    /// Commits every action that no still-running worker can invalidate,
-    /// in modeled-time order. Grants precede completion bookkeeping at
-    /// equal instants only when the receiver is idle (the simulator's
-    /// event-class order); a request for a receiver that frees exactly
-    /// then is granted by the completion path instead.
+    /// Commits every engine step that no still-running worker can
+    /// invalidate: those strictly before the earliest instant at which
+    /// a running worker could request again.
     fn advance(&mut self, epoch: &Instant) {
-        loop {
-            if self.failure.is_some() {
-                return;
-            }
-            let min_running = self.min_running();
-            let cand = self.best_candidate();
-            let comp = self.completions.peek().map(|Reverse(c)| *c);
-            match (cand, comp) {
-                (None, None) => return,
-                (Some((start, arrival, src, dst)), None) => {
-                    if min_running > start {
-                        self.commit_grant(start, arrival, src, dst, epoch);
-                    } else {
-                        return;
-                    }
-                }
-                (None, Some(c)) => {
-                    if min_running > c.finish {
-                        self.commit_completion(c, epoch);
-                    } else {
-                        return;
-                    }
-                }
-                (Some((start, arrival, src, dst)), Some(c)) => {
-                    let grant_first =
-                        start < c.finish || (start == c.finish && start > self.recv_free_at[dst]);
-                    if grant_first {
-                        if min_running > start {
-                            self.commit_grant(start, arrival, src, dst, epoch);
-                        } else {
-                            return;
-                        }
-                    } else if min_running > c.finish {
-                        self.commit_completion(c, epoch);
-                    } else {
-                        return;
-                    }
-                }
+        while self.failure.is_none() {
+            let horizon = self.min_running();
+            match self.port.next(horizon) {
+                None => return,
+                Some(Step::Grant {
+                    src,
+                    dst,
+                    arrival,
+                    at,
+                }) => self.commit_grant(src, dst, arrival, at, epoch),
+                Some(Step::Complete {
+                    src,
+                    dst,
+                    start,
+                    at,
+                }) => self.commit_completion(src, dst, start, at, epoch),
             }
         }
     }
@@ -690,28 +518,23 @@ where
     #[allow(clippy::result_large_err)]
     fn settle(self) -> Result<ShapedOutcome, ShapedFailure> {
         if let Some(error) = self.failure {
-            // Settle the grants still sitting in the completion heap —
-            // successes into `records`, refusals into `lost` — so
-            // delivered bytes are never invisible to a retry and the
-            // ledger does not depend on which worker thread hit the
-            // fault window first.
+            // Settle the grants still in flight — successes into
+            // `records`, refusals into `lost` — so delivered bytes are
+            // never invisible to a retry and the ledger does not depend
+            // on which worker thread hit the fault window first.
             let mut refused = self.refused;
             let mut lost = self.lost;
             let mut records = self.records;
-            for Reverse(c) in self.completions {
-                if let Some(pos) = refused
-                    .iter()
-                    .position(|&(s, d, _)| s == c.src && d == c.dst)
-                {
-                    refused.swap_remove(pos);
-                    lost.push((c.src, c.dst));
+            for (src, dst, start, finish) in self.port.in_flight() {
+                if take_refusal(&mut refused, (src, dst)).is_some() {
+                    lost.push((src, dst));
                 } else {
                     records.push(TransferRecord {
-                        src: c.src,
-                        dst: c.dst,
-                        bytes: c.bytes,
-                        start: Millis::new(c.start),
-                        finish: Millis::new(c.finish),
+                        src,
+                        dst,
+                        bytes: self.sizes[src][dst],
+                        start: Millis::new(start),
+                        finish: Millis::new(finish),
                     });
                 }
             }
@@ -720,12 +543,13 @@ where
                 trace: self.trace,
                 records,
                 remaining: self
-                    .queues
+                    .port
+                    .queues()
                     .iter()
                     .map(|q| q.iter().copied().collect())
                     .collect(),
-                send_busy_until: self.send_free_at,
-                recv_busy_until: self.recv_free_at,
+                send_busy_until: self.port.send_free().to_vec(),
+                recv_busy_until: self.port.recv_free().to_vec(),
                 at: Millis::new(self.failed_at),
                 lost,
             });
@@ -735,18 +559,7 @@ where
             self.total,
             "every message must complete"
         );
-        let mut records = self.records;
-        records.sort_by(|a, b| {
-            a.finish
-                .as_ms()
-                .total_cmp(&b.finish.as_ms())
-                .then(a.src.cmp(&b.src))
-                .then(a.dst.cmp(&b.dst))
-        });
-        let makespan = records
-            .iter()
-            .map(|r| r.finish)
-            .fold(Millis::ZERO, Millis::max);
+        let SimRun { records, makespan } = SimRun::from_records(self.records);
         Ok(ShapedOutcome {
             trace: self.trace,
             records,
@@ -869,7 +682,7 @@ where
 {
     let core = Core::new(lists, sizes, evolution, config, hook);
     let fabric = Fabric {
-        wakeups: (0..core.p).map(|_| Condvar::new()).collect(),
+        wakeups: (0..lists.len()).map(|_| Condvar::new()).collect(),
         core: Mutex::new(core),
         epoch: Instant::now(),
     };
@@ -910,10 +723,10 @@ pub fn price_shaped<E: NetworkEvolution>(
         CheckpointAction::Continue
     });
     let epoch = Instant::now();
-    for src in 0..core.p {
+    for src in 0..lists.len() {
         core.rejoin(src, start_at.as_ms());
     }
-    let mut granted = Vec::with_capacity(core.p);
+    let mut granted = Vec::with_capacity(lists.len());
     loop {
         core.advance(&epoch);
         if core.granted.is_empty() {

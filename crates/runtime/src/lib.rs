@@ -3,9 +3,10 @@
 //! Everything below `adaptcomm-sim` *predicts*; this crate *executes*.
 //! A [`channel::run_shaped`] run spawns one OS thread per processor and
 //! moves real byte buffers through a pluggable [`transport::Transport`]
-//! while a central fabric enforces the §3 port model — one send and one
-//! receive at a time per node, FCFS receiver grants, per-link occupancy
-//! of `T_ij + m/B_ij` modeled milliseconds priced live from a
+//! while a central fabric drives the shared §3 port engine
+//! ([`adaptcomm_core::port`]: one send and one receive at a time per
+//! node, FCFS receiver grants), each transfer occupying its ports for
+//! `T_ij + m/B_ij` modeled milliseconds priced live from a
 //! [`adaptcomm_sim::NetworkEvolution`]. The fabric coordinates threads
 //! in virtual time, so the realized modeled timeline is deterministic
 //! and bit-compatible with the discrete-event simulator — the

@@ -3,9 +3,11 @@
 //! time as the discrete-event simulator (the bound is 5%; the
 //! virtual-time fabric is designed to be bit-compatible, so the observed
 //! error is ~1e-6), and one-thread pricing reproduces the threaded run
-//! bit for bit.
+//! bit for bit. On tie-heavy networks every executor of the port model
+//! commits the same timeline, bit for bit.
 
 use adaptcomm_core::algorithms::all_schedulers;
+use adaptcomm_core::execution::execute_listed;
 use adaptcomm_core::matrix::CommMatrix;
 use adaptcomm_model::cost::LinkEstimate;
 use adaptcomm_model::params::NetParams;
@@ -14,6 +16,8 @@ use adaptcomm_runtime::channel::{
     price_shaped, run_shaped, CheckpointAction, FrozenNetwork, ShapedConfig, ShapedOutcome,
 };
 use adaptcomm_runtime::transport::{expected_receipts, ChannelTransport, Transport};
+use adaptcomm_sim::dynamic::{run_adaptive, AdaptiveConfig};
+use adaptcomm_sim::executor::TransferRecord;
 use adaptcomm_sim::run_static;
 use proptest::prelude::*;
 
@@ -153,8 +157,12 @@ proptest! {
 /// A run's records and makespan, with every instant as its bit pattern.
 #[allow(clippy::type_complexity)]
 fn bits(out: &ShapedOutcome) -> (Vec<(usize, usize, u64, u64)>, u64) {
-    let records = out
-        .records
+    (record_bits(&out.records), out.makespan.as_ms().to_bits())
+}
+
+/// Records as `(src, dst, start, finish)`, instants as bit patterns.
+fn record_bits(records: &[TransferRecord]) -> Vec<(usize, usize, u64, u64)> {
+    records
         .iter()
         .map(|r| {
             (
@@ -164,6 +172,111 @@ fn bits(out: &ShapedOutcome) -> (Vec<(usize, usize, u64, u64)>, u64) {
                 r.finish.as_ms().to_bits(),
             )
         })
-        .collect();
-    (records, out.makespan.as_ms().to_bits())
+        .collect()
+}
+
+/// Networks on which many transfers start and finish at the same
+/// instant, with their message sizes: uniform links; startups
+/// `((s+d) mod 3)·5` ms; startups `(3s+d) mod 4` ms over two bandwidths
+/// (8 kB messages each); and zero-cost transfers.
+fn tie_heavy_networks(p: usize) -> Vec<(NetParams, Vec<Vec<Bytes>>)> {
+    let link = |startup: usize, kbps: usize| {
+        LinkEstimate::new(
+            Millis::new(startup as f64),
+            Bandwidth::from_kbps(kbps as f64),
+        )
+    };
+    let sized = |b: Bytes| -> Vec<Vec<Bytes>> {
+        (0..p)
+            .map(|s| {
+                (0..p)
+                    .map(|d| if s == d { Bytes::ZERO } else { b })
+                    .collect()
+            })
+            .collect()
+    };
+    let kb8 = Bytes::from_kb(8);
+    vec![
+        (NetParams::from_fn(p, |_, _| link(10, 1000)), sized(kb8)),
+        (
+            NetParams::from_fn(p, |s, d| link((s + d) % 3 * 5, 1000)),
+            sized(kb8),
+        ),
+        (
+            NetParams::from_fn(p, |s, d| link((3 * s + d) % 4, 500 * (1 + (s + d) % 2))),
+            sized(kb8),
+        ),
+        (
+            NetParams::from_fn(p, |_, _| link(0, 1000)),
+            sized(Bytes::ZERO),
+        ),
+    ]
+}
+
+/// Where simultaneous events abound, the order in which an executor
+/// processes them decides the timeline: the analytic execution, the
+/// static and drifting simulators, one-thread pricing and the threaded
+/// fabric must all commit the same one.
+#[test]
+fn every_executor_commits_the_same_timeline_on_tie_heavy_networks() {
+    for p in 2..=16 {
+        for (net, sizes) in tie_heavy_networks(p) {
+            let matrix = CommMatrix::from_model(&net, &sizes);
+            for scheduler in all_schedulers() {
+                let order = scheduler.send_order(&matrix);
+                let mut analytic: Vec<(usize, usize, u64, u64)> = execute_listed(&order, &matrix)
+                    .events()
+                    .iter()
+                    .map(|e| {
+                        (
+                            e.src,
+                            e.dst,
+                            e.start.as_ms().to_bits(),
+                            e.finish.as_ms().to_bits(),
+                        )
+                    })
+                    .collect();
+                analytic.sort_by(|a, b| {
+                    f64::from_bits(a.3)
+                        .total_cmp(&f64::from_bits(b.3))
+                        .then((a.0, a.1).cmp(&(b.0, b.1)))
+                });
+                let frozen = || FrozenNetwork(net.clone());
+                let priced = price_shaped(&order.order, &sizes, &mut frozen(), Millis::ZERO)
+                    .expect("a frozen network cannot fault");
+                let config = ShapedConfig {
+                    payload_cap: Some(0),
+                    ..Default::default()
+                };
+                let ran = run_shaped(
+                    &order.order,
+                    &sizes,
+                    &mut frozen(),
+                    &ChannelTransport::new(p),
+                    config,
+                    |_| CheckpointAction::Continue,
+                )
+                .expect("a frozen network cannot fault");
+                let adaptive =
+                    run_adaptive(&order, &sizes, &mut frozen(), &AdaptiveConfig::oblivious());
+                let runs = [
+                    (
+                        "run_static",
+                        record_bits(&run_static(&order, &net, &sizes).records),
+                    ),
+                    ("price_shaped", record_bits(&priced.records)),
+                    ("run_shaped", record_bits(&ran.records)),
+                    ("run_adaptive", record_bits(&adaptive.records)),
+                ];
+                for (name, records) in runs {
+                    assert_eq!(
+                        records,
+                        analytic,
+                        "P={p} {}: {name} diverged from execute_listed",
+                        scheduler.name()
+                    );
+                }
+            }
+        }
+    }
 }

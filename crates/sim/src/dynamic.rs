@@ -7,23 +7,27 @@
 //! communication times. The schedule can then be modified at intermediate
 //! checkpoints."
 //!
-//! [`run_adaptive`] executes an initial send order while the ground-truth
-//! network follows any [`NetworkEvolution`] — a stochastic
+//! [`run_adaptive`] drives the shared §3.2 port engine
+//! ([`adaptcomm_core::port`]) over an initial send order while the
+//! ground-truth network follows any [`NetworkEvolution`] — a stochastic
 //! [`VariationTrace`], a scripted [`crate::faults::ScriptedFaults`], or a
-//! replayed [`adaptcomm_model::trace_io::RecordedTrace`]; each transfer
-//! is priced from the network state at its start. After the `c`-th transfer completes, if
-//! `c` is a checkpoint of the configured [`CheckpointPolicy`] and the
-//! observed progress deviates from the plan beyond the
-//! [`RescheduleRule`] threshold, the not-yet-started messages are
-//! *replanned* with the open shop rule against a fresh directory
-//! snapshot. In-flight transfers are never aborted.
+//! replayed [`adaptcomm_model::trace_io::RecordedTrace`]; each grant is
+//! priced from the live state of its one link
+//! ([`NetworkEvolution::link_at`]) at its start. When the `c`-th
+//! completion commits, if `c` is a checkpoint of the configured
+//! [`CheckpointPolicy`] and the observed progress deviates from the plan
+//! beyond the [`RescheduleRule`] threshold, the not-yet-started messages
+//! are *replanned* against a fresh directory snapshot and handed to the
+//! engine. In-flight transfers are never aborted. With no replans the
+//! timeline is bit-identical to `run_static` over the same network.
 
-use crate::engine::{Calendar, ScheduleError};
-use crate::executor::TransferRecord;
+use crate::engine::ScheduleError;
+use crate::executor::{SimRun, TransferRecord};
 use adaptcomm_core::algorithms::{MatchingKind, MatchingScheduler};
 use adaptcomm_core::checkpointed::{CheckpointPolicy, RescheduleRule};
 use adaptcomm_core::execution::execute_listed;
 use adaptcomm_core::matrix::CommMatrix;
+use adaptcomm_core::port::{PortEngine, Step};
 use adaptcomm_core::schedule::SendOrder;
 use adaptcomm_model::cost::{CostModel, LinkEstimate};
 use adaptcomm_model::params::NetParams;
@@ -314,25 +318,10 @@ pub fn run_adaptive_checked(
         Replanner::OpenShop => None,
     };
 
-    #[derive(Clone, Copy)]
-    enum Ev {
-        SenderReady(usize),
-        Completed { src: usize, dst: usize },
+    let mut port = PortEngine::new(&initial_order.order, 0.0);
+    for src in 0..p {
+        port.request(src, 0.0);
     }
-    const CLS_READY: u8 = 0;
-    const CLS_DONE: u8 = 1;
-
-    let mut cal: Calendar<Ev> = Calendar::new();
-    let mut queues: Vec<VecDeque<usize>> = initial_order
-        .order
-        .iter()
-        .map(|l| l.iter().copied().collect())
-        .collect();
-    // pending[dst] = (request_time, src) waiting for the receiver.
-    let mut pending: Vec<Vec<(f64, usize)>> = vec![Vec::new(); p];
-    let mut busy = vec![false; p];
-    let mut send_busy_until = vec![0.0f64; p];
-    let mut recv_busy_until = vec![0.0f64; p];
     let mut records: Vec<TransferRecord> = Vec::with_capacity(total_events);
     let mut completed = 0usize;
     let mut checkpoints_evaluated = 0usize;
@@ -341,116 +330,70 @@ pub fn run_adaptive_checked(
     let mut base_obs = 0.0f64;
     let mut base_plan = 0.0f64;
 
-    for src in 0..p {
-        cal.schedule(0.0, CLS_READY, Ev::SenderReady(src));
-    }
-
-    while let Some((now, _, ev)) = cal.pop_next() {
-        match ev {
-            Ev::SenderReady(src) => {
-                let Some(&dst) = queues[src].front() else {
-                    continue;
-                };
-                if busy[dst] {
-                    pending[dst].push((now, src));
-                } else {
-                    // Price the transfer from the live network state.
-                    let net = trace.state_at(Millis::new(now));
-                    let dur = net.message_time(src, dst, sizes[src][dst]).as_ms();
-                    let fin = now + dur;
-                    queues[src].pop_front();
-                    busy[dst] = true;
-                    send_busy_until[src] = fin;
-                    recv_busy_until[dst] = fin;
-                    records.push(TransferRecord {
-                        src,
-                        dst,
-                        bytes: sizes[src][dst],
-                        start: Millis::new(now),
-                        finish: Millis::new(fin),
-                    });
-                    cal.try_schedule(fin, CLS_DONE, Ev::Completed { src, dst })
-                        .map_err(|cause| SimError::DegenerateEvent { src, dst, cause })?;
+    while let Some(step) = port.next(f64::INFINITY) {
+        match step {
+            Step::Grant { src, dst, at, .. } => {
+                // Price the transfer from the live state of its link.
+                let bytes = sizes[src][dst];
+                let dur = trace.link_at(Millis::new(at), src, dst).message_time(bytes);
+                let fin = at + dur.as_ms();
+                let degenerate = |cause| SimError::DegenerateEvent { src, dst, cause };
+                if !fin.is_finite() {
+                    return Err(degenerate(ScheduleError::NonFiniteTime { time: fin }));
                 }
+                if fin < at {
+                    return Err(degenerate(ScheduleError::TimeTravel { time: fin, now: at }));
+                }
+                port.start(src, dst, fin);
+                port.request(src, fin);
+                records.push(TransferRecord {
+                    src,
+                    dst,
+                    bytes,
+                    start: Millis::new(at),
+                    finish: Millis::new(fin),
+                });
             }
-            Ev::Completed { src, dst } => {
-                busy[dst] = false;
+            Step::Complete { at: now, .. } => {
                 completed += 1;
-                cal.schedule(now, CLS_READY, Ev::SenderReady(src));
-
-                let is_checkpoint = checkpoint_set.binary_search(&completed).is_ok();
-                if is_checkpoint {
-                    checkpoints_evaluated += 1;
-                    let plan_at = planned[completed - 1];
-                    let seg_obs = now - base_obs;
-                    let seg_plan = plan_at - base_plan;
-                    if config.rule.should_reschedule(seg_plan, seg_obs) {
-                        reschedules += 1;
-                        base_obs = now;
-                        base_plan = plan_at;
-                        // Cancel pending requests: their messages return
-                        // to the remaining pool and the blocked senders
-                        // get fresh ready events.
-                        let mut blocked: Vec<usize> = Vec::new();
-                        for d in 0..p {
-                            for &(_, s) in &pending[d] {
-                                blocked.push(s);
-                            }
-                            pending[d].clear();
-                        }
-                        let remaining: Vec<Vec<usize>> =
-                            queues.iter().map(|q| q.iter().copied().collect()).collect();
-                        let fresh = trace.state_at(Millis::new(now));
-                        queues = match &matching_sched {
-                            Some(sched) => matching_replan(sched, &remaining, &fresh, sizes),
-                            None => openshop_replan(
-                                &remaining,
-                                &send_busy_until,
-                                &recv_busy_until,
-                                now,
-                                &fresh,
-                                sizes,
-                            ),
-                        };
-                        for s in blocked {
-                            cal.schedule(now, CLS_READY, Ev::SenderReady(s));
-                        }
-                    }
+                if checkpoint_set.binary_search(&completed).is_err() {
+                    continue;
                 }
-
-                // Grant the receiver to the earliest pending request, if
-                // any survived (none right after a replan).
-                if !busy[dst] {
-                    if let Some(k) = pending[dst]
-                        .iter()
-                        .enumerate()
-                        .min_by(|(_, a), (_, b)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
-                        .map(|(k, _)| k)
-                    {
-                        let (_, s) = pending[dst].swap_remove(k);
-                        // Re-issue as a ready event so pricing and
-                        // bookkeeping go through the single start path;
-                        // the sender's head-of-queue is still `dst`'s
-                        // message because queues pop only at start.
-                        cal.schedule(now, CLS_READY, Ev::SenderReady(s));
-                    }
+                checkpoints_evaluated += 1;
+                let plan_at = planned[completed - 1];
+                if !config
+                    .rule
+                    .should_reschedule(plan_at - base_plan, now - base_obs)
+                {
+                    continue;
                 }
+                reschedules += 1;
+                base_obs = now;
+                base_plan = plan_at;
+                let remaining: Vec<Vec<usize>> = port
+                    .queues()
+                    .iter()
+                    .map(|q| q.iter().copied().collect())
+                    .collect();
+                let fresh = trace.state_at(Millis::new(now));
+                let queues = match &matching_sched {
+                    Some(sched) => matching_replan(sched, &remaining, &fresh, sizes),
+                    None => openshop_replan(
+                        &remaining,
+                        port.send_free(),
+                        port.recv_free(),
+                        now,
+                        &fresh,
+                        sizes,
+                    ),
+                };
+                port.replan(queues);
             }
         }
     }
 
     debug_assert_eq!(records.len(), total_events, "every message must run");
-    records.sort_by(|a, b| {
-        a.finish
-            .as_ms()
-            .total_cmp(&b.finish.as_ms())
-            .then(a.src.cmp(&b.src))
-            .then(a.dst.cmp(&b.dst))
-    });
-    let makespan = records
-        .iter()
-        .map(|r| r.finish)
-        .fold(Millis::ZERO, Millis::max);
+    let SimRun { records, makespan } = SimRun::from_records(records);
     Ok(DynamicOutcome {
         records,
         makespan,

@@ -1,51 +1,15 @@
 //! Message-level execution of a send order on a static network.
 //!
-//! Semantics are the paper's (§3.2): one send and one receive at a time
-//! per node, control-message handshake (FCFS receiver grants, ties to the
-//! lower sender id), senders transmit in list order. Durations come from
-//! a [`CostModel`] and per-pair message sizes rather than a pre-baked
-//! cost matrix, which is what lets the dynamic variants re-price
-//! transfers mid-flight.
+//! [`run_static`] drives the shared §3.2 port engine
+//! ([`adaptcomm_core::port`]: one send and one receive at a time per
+//! node, list order, FCFS receiver grants with ties to the lower sender
+//! id) and prices each grant from a [`CostModel`] and per-pair message
+//! sizes rather than a pre-baked cost matrix.
 
-use crate::engine::Calendar;
+use adaptcomm_core::port::{PortEngine, Step};
 use adaptcomm_core::schedule::SendOrder;
 use adaptcomm_model::cost::CostModel;
 use adaptcomm_model::units::{Bytes, Millis};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-/// Event classes: arrivals before grants at equal times.
-const CLS_SENDER_READY: u8 = 0;
-const CLS_RECEIVER_FREE: u8 = 1;
-
-/// A `(arrival time, sender id)` key for the per-receiver pending-grant
-/// heaps: FCFS, ties to the lower sender id — the handshake rule from
-/// §3.2, identical to the linear scan this replaces. Entries are
-/// immutable once queued (a sender waits in exactly one queue until
-/// granted), so the heap needs no lazy correction: the popped minimum is
-/// exact.
-#[derive(Debug, Clone, Copy)]
-struct ArrivalKey {
-    time: f64,
-    src: usize,
-}
-
-impl PartialEq for ArrivalKey {
-    fn eq(&self, o: &Self) -> bool {
-        self.time.total_cmp(&o.time).is_eq() && self.src == o.src
-    }
-}
-impl Eq for ArrivalKey {}
-impl PartialOrd for ArrivalKey {
-    fn partial_cmp(&self, o: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(o))
-    }
-}
-impl Ord for ArrivalKey {
-    fn cmp(&self, o: &Self) -> std::cmp::Ordering {
-        self.time.total_cmp(&o.time).then(self.src.cmp(&o.src))
-    }
-}
 
 /// One completed transfer.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -72,6 +36,23 @@ pub struct SimRun {
 }
 
 impl SimRun {
+    /// A run of `records`, sorted into completion order `(finish, src,
+    /// dst)`; the makespan is the last finish.
+    pub fn from_records(mut records: Vec<TransferRecord>) -> SimRun {
+        records.sort_by(|a, b| {
+            a.finish
+                .as_ms()
+                .total_cmp(&b.finish.as_ms())
+                .then(a.src.cmp(&b.src))
+                .then(a.dst.cmp(&b.dst))
+        });
+        let makespan = records
+            .iter()
+            .map(|r| r.finish)
+            .fold(Millis::ZERO, Millis::max);
+        SimRun { records, makespan }
+    }
+
     /// The realized transfers as explain-plane records, ready for
     /// `adaptcomm_obs::causal::CausalDag::new` (critical path, blame,
     /// what-if projections).
@@ -94,106 +75,49 @@ pub fn run_static<M: CostModel>(order: &SendOrder, network: &M, sizes: &[Vec<Byt
     assert_eq!(order.processors(), p, "order and network disagree on P");
     assert_eq!(sizes.len(), p, "size matrix does not match P");
 
-    #[derive(Clone, Copy)]
-    enum Ev {
-        SenderReady(usize),
-        ReceiverFree(usize),
-    }
-
-    let mut cal: Calendar<Ev> = Calendar::new();
-    let mut pending: Vec<BinaryHeap<Reverse<ArrivalKey>>> = vec![BinaryHeap::new(); p];
-    let mut busy = vec![false; p];
-    let mut next_idx = vec![0usize; p];
-    let mut records = Vec::with_capacity(p.saturating_mul(p.saturating_sub(1)));
-
-    // Events at equal times are keyed by processor id so the pop order
-    // matches the analytic executor's `(time, kind, processor)` ordering
-    // exactly; FIFO insertion order must not leak into the semantics.
+    let mut port = PortEngine::new(&order.order, 0.0).grants_only();
     for src in 0..p {
-        cal.schedule_keyed(0.0, CLS_SENDER_READY, src as u64, Ev::SenderReady(src));
+        port.request(src, 0.0);
     }
-
-    macro_rules! begin {
-        ($src:expr, $dst:expr, $now:expr) => {{
-            let (src, dst, now) = ($src, $dst, $now);
-            let bytes = sizes[src][dst];
-            let dur = network.message_time(src, dst, bytes).as_ms();
-            let fin = now + dur;
-            records.push(TransferRecord {
-                src,
-                dst,
-                bytes,
-                start: Millis::new(now),
-                finish: Millis::new(fin),
-            });
-            busy[dst] = true;
-            next_idx[src] += 1;
-            cal.schedule_keyed(fin, CLS_SENDER_READY, src as u64, Ev::SenderReady(src));
-            cal.schedule_keyed(fin, CLS_RECEIVER_FREE, dst as u64, Ev::ReceiverFree(dst));
-        }};
-    }
-
-    // Event-loop stats aggregated in locals; recorded once after the
-    // drain so the hot loop stays untouched when obs is disabled.
-    let (mut grants_immediate, mut grants_queued, mut max_queue_depth, mut loop_events) =
-        (0u64, 0u64, 0usize, 0u64);
-
-    while let Some((now, _, ev)) = cal.pop_next() {
-        loop_events += 1;
-        match ev {
-            Ev::SenderReady(src) => {
-                let idx = next_idx[src];
-                if idx >= order.order[src].len() {
-                    continue;
-                }
-                let dst = order.order[src][idx];
-                if busy[dst] {
-                    pending[dst].push(Reverse(ArrivalKey { time: now, src }));
-                    grants_queued += 1;
-                    max_queue_depth = max_queue_depth.max(pending[dst].len());
-                } else {
-                    grants_immediate += 1;
-                    begin!(src, dst, now);
-                }
-            }
-            Ev::ReceiverFree(dst) => {
-                busy[dst] = false;
-                if let Some(Reverse(ArrivalKey { src, .. })) = pending[dst].pop() {
-                    begin!(src, dst, now);
-                }
-            }
-        }
+    let mut records = Vec::with_capacity(p.saturating_mul(p.saturating_sub(1)));
+    // Grants that waited for their receiver, counted in a local and
+    // recorded once after the drain so the hot loop stays untouched when
+    // obs is disabled.
+    let mut queued = 0u64;
+    while let Some(Step::Grant {
+        src,
+        dst,
+        arrival,
+        at,
+    }) = port.next(f64::INFINITY)
+    {
+        queued += u64::from(arrival < at);
+        let bytes = sizes[src][dst];
+        let finish = at + network.message_time(src, dst, bytes).as_ms();
+        port.start(src, dst, finish);
+        port.request(src, finish);
+        records.push(TransferRecord {
+            src,
+            dst,
+            bytes,
+            start: Millis::new(at),
+            finish: Millis::new(finish),
+        });
     }
 
     let obs = adaptcomm_obs::global();
     if obs.is_enabled() {
-        obs.add("sim.events", loop_events);
-        obs.add("sim.grants.immediate", grants_immediate);
-        obs.add("sim.grants.queued", grants_queued);
-        obs.observe(
-            "sim.grant_queue.max_depth",
-            adaptcomm_obs::DEPTH_BUCKETS,
-            max_queue_depth as f64,
-        );
+        obs.add("sim.grants.immediate", records.len() as u64 - queued);
+        obs.add("sim.grants.queued", queued);
     }
 
-    records.sort_by(|a, b| {
-        a.finish
-            .as_ms()
-            .total_cmp(&b.finish.as_ms())
-            .then(a.src.cmp(&b.src))
-            .then(a.dst.cmp(&b.dst))
-    });
-    let makespan = records
-        .iter()
-        .map(|r| r.finish)
-        .fold(Millis::ZERO, Millis::max);
-    SimRun { records, makespan }
+    SimRun::from_records(records)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Calendar;
     use adaptcomm_core::algorithms::{all_schedulers, Scheduler};
     use adaptcomm_core::execution::execute_listed;
     use adaptcomm_core::matrix::CommMatrix;
@@ -276,6 +200,8 @@ mod tests {
         sizes: &[Vec<Bytes>],
     ) -> SimRun {
         let p = network.len();
+        const CLS_SENDER_READY: u8 = 0;
+        const CLS_RECEIVER_FREE: u8 = 1;
 
         #[derive(Clone, Copy)]
         enum Ev {
@@ -341,18 +267,7 @@ mod tests {
             }
         }
 
-        records.sort_by(|a, b| {
-            a.finish
-                .as_ms()
-                .total_cmp(&b.finish.as_ms())
-                .then(a.src.cmp(&b.src))
-                .then(a.dst.cmp(&b.dst))
-        });
-        let makespan = records
-            .iter()
-            .map(|r| r.finish)
-            .fold(Millis::ZERO, Millis::max);
-        SimRun { records, makespan }
+        SimRun::from_records(records)
     }
 
     #[test]
@@ -372,18 +287,42 @@ mod tests {
             assert_eq!(fast, slow, "{} diverged from the reference", s.name());
         }
         // And on a synthetic heterogeneous network that actually queues
-        // multiple senders on one receiver (the baseline at P=8 does).
-        let net = network(8);
-        let sizes = uniform_sizes(8, Bytes::KB);
-        let matrix = CommMatrix::from_model(&net, &sizes);
-        for s in all_schedulers() {
-            let order = s.send_order(&matrix);
-            assert_eq!(
-                run_static(&order, &net, &sizes),
-                run_static_linear_scan(&order, &net, &sizes),
-                "{} diverged from the reference",
-                s.name()
-            );
+        // multiple senders on one receiver (the baseline at P=8 does),
+        // then on tie-heavy networks where many requests meet a receiver
+        // at the instant it frees: uniform links, startups
+        // `((s+d) mod 3)·5` ms, and startups `(3s+d) mod 4` ms over two
+        // bandwidths.
+        let mut cases = vec![(network(8), uniform_sizes(8, Bytes::KB))];
+        let link = |startup: usize, kbps: usize| {
+            adaptcomm_model::cost::LinkEstimate::new(
+                Millis::new(startup as f64),
+                Bandwidth::from_kbps(kbps as f64),
+            )
+        };
+        for p in 2..=16 {
+            let sizes = uniform_sizes(p, Bytes::from_kb(8));
+            cases.push((NetParams::from_fn(p, |_, _| link(10, 1000)), sizes.clone()));
+            cases.push((
+                NetParams::from_fn(p, |s, d| link((s + d) % 3 * 5, 1000)),
+                sizes.clone(),
+            ));
+            cases.push((
+                NetParams::from_fn(p, |s, d| link((3 * s + d) % 4, 500 * (1 + (s + d) % 2))),
+                sizes,
+            ));
+        }
+        for (net, sizes) in cases {
+            let matrix = CommMatrix::from_model(&net, &sizes);
+            for s in all_schedulers() {
+                let order = s.send_order(&matrix);
+                assert_eq!(
+                    run_static(&order, &net, &sizes),
+                    run_static_linear_scan(&order, &net, &sizes),
+                    "P={} {} diverged from the reference",
+                    net.len(),
+                    s.name()
+                );
+            }
         }
     }
 

@@ -129,18 +129,7 @@ pub fn run_interleaved<M: CostModel>(
         }
     }
 
-    records.sort_by(|a, b| {
-        a.finish
-            .as_ms()
-            .total_cmp(&b.finish.as_ms())
-            .then(a.src.cmp(&b.src))
-            .then(a.dst.cmp(&b.dst))
-    });
-    let makespan = records
-        .iter()
-        .map(|r| r.finish)
-        .fold(Millis::ZERO, Millis::max);
-    SimRun { records, makespan }
+    SimRun::from_records(records)
 }
 
 #[cfg(test)]
