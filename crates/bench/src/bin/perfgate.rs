@@ -56,8 +56,9 @@
 //!
 //! `--obs <dir>` adds an untimed instrumentation pass after the
 //! measurements: each `(scheduler, P)` cell runs once with the global
-//! observability registry enabled and dumps a Chrome trace to
-//! `<dir>/trace_<scheduler>_P<p>.json`. The pass is separate from the
+//! observability registry enabled and dumps a JSONL capture to
+//! `<dir>/trace_<scheduler>_P<p>.jsonl`, which `adaptcomm obs-summary`
+//! and `adaptcomm obs-diff` read back. The pass is separate from the
 //! timing loops — and quick mode asserts the registry is disabled
 //! before timing — so the gate always measures the uninstrumented cost.
 //!
@@ -156,7 +157,7 @@ fn time_one<F: FnMut() -> usize>(mut f: F) -> (f64, usize) {
 }
 
 /// The untimed `--obs` pass: one instrumented construction per
-/// `(scheduler, P)` cell, each dumped as its own Chrome trace.
+/// `(scheduler, P)` cell, each dumped as its own JSONL capture.
 fn obs_pass(dir: &str, p_values: &[usize], threads: usize) {
     std::fs::create_dir_all(dir).unwrap_or_else(|e| {
         eprintln!("cannot create {dir}: {e}");
@@ -176,8 +177,8 @@ fn obs_pass(dir: &str, p_values: &[usize], threads: usize) {
             span.attr("steps", steps).end();
             let snap = obs.snapshot();
             obs.set_enabled(false);
-            let path = format!("{dir}/trace_{}_P{p}.json", scheduler.name());
-            std::fs::write(&path, snap.to_chrome_trace()).unwrap_or_else(|e| {
+            let path = format!("{dir}/trace_{}_P{p}.jsonl", scheduler.name());
+            std::fs::write(&path, snap.to_jsonl()).unwrap_or_else(|e| {
                 eprintln!("cannot write {path}: {e}");
                 std::process::exit(2);
             });

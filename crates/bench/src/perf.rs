@@ -7,9 +7,11 @@
 //! `perfgate` binary: wall-clock statistics over repeated runs, a
 //! hand-rolled JSON report (`BENCH_sched.json`, schema
 //! `scheduler → P → {median_ms, p90_ms, reps}`; the workspace has no
-//! serde_json, so emission *and* parsing live here), and the regression
-//! gate comparing a fresh quick run against the committed baseline.
+//! serde_json, so the writers live here and reading goes through
+//! `adaptcomm_obs::json`), and the regression gate comparing a fresh
+//! quick run against the committed baseline.
 
+use adaptcomm_obs::json::Value;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -250,88 +252,39 @@ impl PerfReport {
         out
     }
 
-    /// Parses a report previously produced by [`PerfReport::to_json`].
+    /// Parses a report previously produced by [`PerfReport::to_json`] or
+    /// [`PerfReport::to_json_line`].
     ///
     /// Accepts the exact schema (object of objects of
-    /// `{median_ms, p90_ms, reps}`); anything else is an error string
-    /// naming the offending position.
+    /// `{median_ms, p90_ms, reps}`, plus the reserved `"targets"` block);
+    /// anything else is an error string naming what was wrong.
     pub fn from_json(text: &str) -> Result<Self, String> {
-        let mut p = JsonParser::new(text);
-        let report = Self::parse_object(&mut p)?;
-        p.end()?;
-        Ok(report)
+        Self::from_value(&Value::parse(text)?)
     }
 
-    /// Parses one report object starting at the parser's cursor — the
-    /// shared body behind [`PerfReport::from_json`] and the `"report"`
-    /// value inside `BENCH_history.jsonl` envelopes.
-    fn parse_object(p: &mut JsonParser) -> Result<Self, String> {
+    /// Reads one parsed report object — the shared body behind
+    /// [`PerfReport::from_json`] and the `"report"` value inside
+    /// `BENCH_history.jsonl` envelopes.
+    fn from_value(doc: &Value) -> Result<Self, String> {
         let mut report = PerfReport::new();
-        p.expect('{')?;
-        if !p.peek_is('}') {
-            loop {
-                let scheduler = p.string()?;
-                p.expect(':')?;
-                if scheduler == "targets" {
-                    // The reserved targets block: scheduler → P → ms.
-                    Self::parse_targets(p, &mut report)?;
-                } else {
-                    p.expect('{')?;
-                    if !p.peek_is('}') {
-                        loop {
-                            let p_key = p.string()?;
-                            let procs: usize = p_key
-                                .parse()
-                                .map_err(|_| format!("non-numeric P key {p_key:?}"))?;
-                            p.expect(':')?;
-                            let stats = p.stats_object()?;
-                            report.insert(&scheduler, procs, stats);
-                            if !p.comma_or_end('}')? {
-                                break;
-                            }
-                        }
+        for (scheduler, cells) in object(doc, "report")? {
+            if scheduler == "targets" {
+                // The reserved targets block: scheduler → P → ms.
+                for (name, row) in object(cells, "targets")? {
+                    for (p_key, ms) in object(row, name)? {
+                        let ms = ms
+                            .as_f64()
+                            .ok_or_else(|| format!("target {name} {p_key:?} is not a number"))?;
+                        report.set_target(name, p_key_of(p_key)?, ms);
                     }
-                    p.expect('}')?;
                 }
-                if !p.comma_or_end('}')? {
-                    break;
+            } else {
+                for (p_key, stats) in object(cells, scheduler)? {
+                    report.insert(scheduler, p_key_of(p_key)?, stats_of(stats)?);
                 }
             }
         }
-        p.expect('}')?;
         Ok(report)
-    }
-
-    /// Parses the `"targets"` block body (`{"sched": {"1024": ms, ..}, ..}`).
-    fn parse_targets(p: &mut JsonParser, report: &mut PerfReport) -> Result<(), String> {
-        p.expect('{')?;
-        if !p.peek_is('}') {
-            loop {
-                let scheduler = p.string()?;
-                p.expect(':')?;
-                p.expect('{')?;
-                if !p.peek_is('}') {
-                    loop {
-                        let p_key = p.string()?;
-                        let procs: usize = p_key
-                            .parse()
-                            .map_err(|_| format!("non-numeric target P key {p_key:?}"))?;
-                        p.expect(':')?;
-                        let ms = p.number()?;
-                        report.set_target(&scheduler, procs, ms);
-                        if !p.comma_or_end('}')? {
-                            break;
-                        }
-                    }
-                }
-                p.expect('}')?;
-                if !p.comma_or_end('}')? {
-                    break;
-                }
-            }
-        }
-        p.expect('}')?;
-        Ok(())
     }
 
     /// The regression gate: every cell of `current` must stay within
@@ -412,24 +365,15 @@ pub fn parse_history(text: &str) -> Result<Vec<HistoryRecord>, String> {
 }
 
 fn parse_history_line(line: &str) -> Result<HistoryRecord, String> {
-    let mut p = JsonParser::new(line);
-    p.expect('{')?;
     let (mut ts_unix, mut mode, mut report) = (None, None, None);
-    loop {
-        let key = p.string()?;
-        p.expect(':')?;
+    for (key, value) in object(&Value::parse(line)?, "history record")? {
         match key.as_str() {
-            "ts_unix" => ts_unix = Some(p.number()? as u64),
-            "mode" => mode = Some(p.string()?),
-            "report" => report = Some(PerfReport::parse_object(&mut p)?),
+            "ts_unix" => ts_unix = value.as_f64().map(|x| x as u64),
+            "mode" => mode = value.as_str().map(str::to_string),
+            "report" => report = Some(PerfReport::from_value(value)?),
             other => return Err(format!("unknown history key {other:?}")),
         }
-        if !p.comma_or_end('}')? {
-            break;
-        }
     }
-    p.expect('}')?;
-    p.end()?;
     Ok(HistoryRecord {
         ts_unix: ts_unix.ok_or("missing ts_unix")?,
         mode: mode.ok_or("missing mode")?,
@@ -525,128 +469,37 @@ fn json_number(x: f64) -> String {
     format!("{x:?}")
 }
 
-/// A minimal recursive-descent parser for exactly the report schema:
-/// objects, double-quoted strings (no escapes needed for our keys, but
-/// the common ones are handled), and plain numbers.
-struct JsonParser<'a> {
-    text: &'a str,
-    pos: usize,
+/// The pairs of a JSON object, or an error naming what was expected.
+fn object<'a>(v: &'a Value, what: &str) -> Result<&'a [(String, Value)], String> {
+    v.as_obj()
+        .ok_or_else(|| format!("{what:?} must be a JSON object"))
 }
 
-impl<'a> JsonParser<'a> {
-    fn new(text: &'a str) -> Self {
-        JsonParser { text, pos: 0 }
-    }
+/// A `"<P>"` cell key as a processor count.
+fn p_key_of(key: &str) -> Result<usize, String> {
+    key.parse()
+        .map_err(|_| format!("non-numeric P key {key:?}"))
+}
 
-    fn skip_ws(&mut self) {
-        while self.text[self.pos..]
-            .chars()
-            .next()
-            .is_some_and(|c| c.is_ascii_whitespace())
-        {
-            self.pos += 1;
+/// One `{median_ms, p90_ms, reps}` cell.
+fn stats_of(cell: &Value) -> Result<PerfStats, String> {
+    let (mut median, mut p90, mut reps) = (None, None, None);
+    for (key, value) in object(cell, "stats")? {
+        let value = value
+            .as_f64()
+            .ok_or_else(|| format!("stats key {key:?} is not a number"))?;
+        match key.as_str() {
+            "median_ms" => median = Some(value),
+            "p90_ms" => p90 = Some(value),
+            "reps" => reps = Some(value as usize),
+            other => return Err(format!("unknown stats key {other:?}")),
         }
     }
-
-    fn peek_is(&mut self, c: char) -> bool {
-        self.skip_ws();
-        self.text[self.pos..].starts_with(c)
-    }
-
-    fn expect(&mut self, c: char) -> Result<(), String> {
-        self.skip_ws();
-        if self.text[self.pos..].starts_with(c) {
-            self.pos += c.len_utf8();
-            Ok(())
-        } else {
-            Err(format!("expected {c:?} at byte {}", self.pos))
-        }
-    }
-
-    /// After a value: consumes `,` and returns true, or returns false
-    /// when the closing delimiter is next (without consuming it).
-    fn comma_or_end(&mut self, close: char) -> Result<bool, String> {
-        self.skip_ws();
-        if self.text[self.pos..].starts_with(',') {
-            self.pos += 1;
-            Ok(true)
-        } else if self.text[self.pos..].starts_with(close) {
-            Ok(false)
-        } else {
-            Err(format!("expected ',' or {close:?} at byte {}", self.pos))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect('"')?;
-        let mut out = String::new();
-        let mut chars = self.text[self.pos..].char_indices();
-        while let Some((i, c)) = chars.next() {
-            match c {
-                '"' => {
-                    self.pos += i + 1;
-                    return Ok(out);
-                }
-                '\\' => match chars.next() {
-                    Some((_, '"')) => out.push('"'),
-                    Some((_, '\\')) => out.push('\\'),
-                    Some((_, e)) => return Err(format!("unsupported escape \\{e}")),
-                    None => break,
-                },
-                c => out.push(c),
-            }
-        }
-        Err("unterminated string".into())
-    }
-
-    fn number(&mut self) -> Result<f64, String> {
-        self.skip_ws();
-        let rest = &self.text[self.pos..];
-        let len = rest
-            .char_indices()
-            .find(|(_, c)| !matches!(c, '0'..='9' | '.' | '-' | '+' | 'e' | 'E'))
-            .map_or(rest.len(), |(i, _)| i);
-        let token = &rest[..len];
-        let value: f64 = token
-            .parse()
-            .map_err(|_| format!("bad number {token:?} at byte {}", self.pos))?;
-        self.pos += len;
-        Ok(value)
-    }
-
-    fn stats_object(&mut self) -> Result<PerfStats, String> {
-        self.expect('{')?;
-        let (mut median, mut p90, mut reps) = (None, None, None);
-        loop {
-            let key = self.string()?;
-            self.expect(':')?;
-            let value = self.number()?;
-            match key.as_str() {
-                "median_ms" => median = Some(value),
-                "p90_ms" => p90 = Some(value),
-                "reps" => reps = Some(value as usize),
-                other => return Err(format!("unknown stats key {other:?}")),
-            }
-            if !self.comma_or_end('}')? {
-                break;
-            }
-        }
-        self.expect('}')?;
-        Ok(PerfStats {
-            median_ms: median.ok_or("missing median_ms")?,
-            p90_ms: p90.ok_or("missing p90_ms")?,
-            reps: reps.ok_or("missing reps")?,
-        })
-    }
-
-    fn end(&mut self) -> Result<(), String> {
-        self.skip_ws();
-        if self.pos == self.text.len() {
-            Ok(())
-        } else {
-            Err(format!("trailing content at byte {}", self.pos))
-        }
-    }
+    Ok(PerfStats {
+        median_ms: median.ok_or("missing median_ms")?,
+        p90_ms: p90.ok_or("missing p90_ms")?,
+        reps: reps.ok_or("missing reps")?,
+    })
 }
 
 #[cfg(test)]
@@ -937,6 +790,22 @@ mod tests {
         r.set_target("matching-max", 1024, 100.0);
         assert_eq!(PerfReport::from_json(&r.to_json()).unwrap(), r);
         assert_eq!(PerfReport::from_json(&r.to_json_line()).unwrap(), r);
+    }
+
+    /// The committed perf files re-serialize to their exact bytes: the
+    /// reader loses nothing the writers put there.
+    #[test]
+    fn committed_files_round_trip_byte_for_byte() {
+        let history = include_str!("../../../BENCH_history.jsonl");
+        let rewritten: String = parse_history(history)
+            .unwrap()
+            .iter()
+            .map(|r| history_record(r.ts_unix, &r.mode, &r.report) + "\n")
+            .collect();
+        assert_eq!(rewritten, history);
+
+        let sched = include_str!("../../../BENCH_sched.json");
+        assert_eq!(PerfReport::from_json(sched).unwrap().to_json(), sched);
     }
 
     #[test]

@@ -13,6 +13,26 @@
 //! Matrices are plain CSV: `P` rows of `P` comma-separated costs in
 //! milliseconds (sender-major; zero diagonal).
 
+/// `print!` for the CLI's stdout. A closed stdout — the reader of a pipe
+/// went away, as in `adaptcomm explain … | head -1` — ends the process
+/// quietly with status 0 instead of panicking.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::stdout_written(std::io::Write::write_fmt(
+            &mut std::io::stdout(),
+            format_args!($($arg)*),
+        ))
+    };
+}
+
+/// `println!` through [`out!`].
+macro_rules! outln {
+    ($($arg:tt)*) => {{
+        out!($($arg)*);
+        out!("\n");
+    }};
+}
+
 mod args;
 mod csv;
 mod top;
@@ -32,6 +52,61 @@ fn main() -> ExitCode {
             ExitCode::from(2)
         }
     }
+}
+
+/// Settles one stdout write: a broken pipe is a clean exit (status 0),
+/// any other failure exits 2 with a message.
+fn stdout_written(result: std::io::Result<()>) {
+    if let Err(e) = result {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("error: writing stdout: {e}");
+        std::process::exit(2);
+    }
+}
+
+/// Why a capture could not be read back.
+#[derive(Debug)]
+enum CaptureError {
+    /// The file could not be read.
+    Read { path: String, error: std::io::Error },
+    /// The file is not a JSONL capture. Chrome traces and Prometheus
+    /// dumps are write-only exports; nothing reads them back.
+    NotJsonl { path: String, detail: String },
+}
+
+impl std::fmt::Display for CaptureError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CaptureError::Read { path, error } => write!(f, "reading {path}: {error}"),
+            CaptureError::NotJsonl { path, detail } => write!(
+                f,
+                "{path} is not a JSONL capture ({detail}); only JSONL is read back, \
+                 so record the run with --obs <path>.jsonl"
+            ),
+        }
+    }
+}
+
+impl From<CaptureError> for String {
+    fn from(e: CaptureError) -> String {
+        e.to_string()
+    }
+}
+
+/// Reads and parses one capture — the single entry point of
+/// `obs-summary`, `obs-diff`, `explain --input`, `report`,
+/// `top --capture` and `obs-merge`.
+fn read_capture(path: &str) -> Result<adaptcomm_obs::Snapshot, CaptureError> {
+    let text = std::fs::read_to_string(path).map_err(|error| CaptureError::Read {
+        path: path.to_string(),
+        error,
+    })?;
+    adaptcomm_obs::Snapshot::from_jsonl(&text).map_err(|detail| CaptureError::NotJsonl {
+        path: path.to_string(),
+        detail,
+    })
 }
 
 const HELP: &str = "\
@@ -113,29 +188,27 @@ USAGE:
       per-link health with sparkline bandwidth history. Refreshes every
       --interval ms (default 250) until the run reports `done`; --once
       renders a single frame and exits (non-interactive / CI).
-      --capture points at an obs dump of the run; each frame then ends
-      with a `slowest link` blame line from the explain-plane analyzer.
+      --capture points at a JSONL capture of the run; each frame then
+      ends with a `slowest link` blame line from the explain-plane
+      analyzer.
 
-  adaptcomm report --input <obs dump> --html <out.html> [--title <text>]
-      Render an observability dump (JSONL or Chrome trace) as a
-      self-contained HTML dashboard: inline SVG time-series charts,
-      per-phase span table, and a link-health matrix. No external
-      assets — the file opens anywhere.
+  adaptcomm report --input <capture.jsonl> --html <out.html> [--title <text>]
+      Render a JSONL capture as a self-contained HTML dashboard: inline
+      SVG time-series charts, per-phase span table, and a link-health
+      matrix. No external assets — the file opens anywhere.
 
-  adaptcomm obs-summary --input <path>
-      Summarize an observability dump: per-phase span totals, instants,
-      counters. The format follows the extension: `.jsonl` (event
-      stream, including flight-recorder dumps), `.prom`/`.txt`
-      (Prometheus text), `.json`/`.trace` (Chrome trace). Unknown
-      extensions are a typed error naming the supported ones.
+  adaptcomm obs-summary --input <capture.jsonl>
+      Summarize a JSONL capture (an --obs <path>.jsonl dump or a
+      flight-recorder dump): per-phase span totals, instants, counters,
+      gauges. Anything that is not JSONL is an error naming the file.
 
-  adaptcomm explain (--input <obs dump> | --matrix <file.csv> |
+  adaptcomm explain (--input <capture.jsonl> | --matrix <file.csv> |
                      --scenario <name> --p <N>) [--seed <u64>] [--n <dim>]
                      [--algorithm <name>] [--k <speedup>] [--top <N>]
                      [--capture <out.jsonl>]
       Explain where a run's completion time comes from. Builds the
-      blocking-dependency DAG of the run — from a captured obs dump
-      (JSONL or Chrome trace with transfer spans), a matrix scheduled
+      blocking-dependency DAG of the run — from a JSONL capture with
+      transfer spans, a matrix scheduled
       with --algorithm (default openshop), or a generated scenario —
       and prints the critical path, the per-link/per-processor blame
       table, a slack histogram, and a COZ-style what-if table: the
@@ -145,8 +218,9 @@ USAGE:
       analyzed transfers back out as a deterministic JSONL capture
       (bit-identical across runs; feed it to obs-diff or report).
 
-  adaptcomm obs-diff --base <dump> --head <dump> [--fail-over <pct>]
-      Diff two captures. Spans are aligned per (phase, track) in start
+  adaptcomm obs-diff --base <capture.jsonl> --head <capture.jsonl>
+                     [--fail-over <pct>]
+      Diff two JSONL captures. Spans are aligned per (phase, track) in start
       order and summed over aligned pairs, so truncation skews counts,
       not totals; transfer spans also aggregate per link. Prints
       per-phase and per-link deltas plus the worst regression line.
@@ -207,24 +281,26 @@ duration of the command and writes the collected metrics when it
 finishes. The export format follows the file extension: `.jsonl` ->
 JSONL event stream, `.prom`/`.txt` -> Prometheus-style text dump,
 anything else -> Chrome trace_event JSON (load in Perfetto /
-chrome://tracing, or feed to obs-summary).
+chrome://tracing). Only the JSONL stream is read back: obs-summary,
+obs-diff, explain --input, report and top --capture take JSONL;
+Prometheus and Chrome output are write-only.
 ";
 
 fn run() -> Result<(), String> {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = argv.first() else {
-        print!("{HELP}");
+        out!("{HELP}");
         return Ok(());
     };
     let opts = args::Options::parse(&argv[1..])?;
     if opts.flag("help") {
-        print!("{HELP}");
+        out!("{HELP}");
         return Ok(());
     }
 
     match command.as_str() {
         "help" | "--help" | "-h" => {
-            print!("{HELP}");
+            out!("{HELP}");
             Ok(())
         }
         "gusto" => {
@@ -251,7 +327,7 @@ fn run() -> Result<(), String> {
 
 fn print_gusto() {
     use adaptcomm_model::gusto::{bandwidth_kbps, latency_ms, Site};
-    println!("Table 1: latency (ms)");
+    outln!("Table 1: latency (ms)");
     for a in Site::ALL {
         let row: Vec<String> = Site::ALL
             .iter()
@@ -263,9 +339,9 @@ fn print_gusto() {
                 }
             })
             .collect();
-        println!("{:>8}: {}", a.name(), row.join(", "));
+        outln!("{:>8}: {}", a.name(), row.join(", "));
     }
-    println!("Table 2: bandwidth (kbit/s)");
+    outln!("Table 2: bandwidth (kbit/s)");
     for a in Site::ALL {
         let row: Vec<String> = Site::ALL
             .iter()
@@ -277,7 +353,7 @@ fn print_gusto() {
                 }
             })
             .collect();
-        println!("{:>8}: {}", a.name(), row.join(", "));
+        outln!("{:>8}: {}", a.name(), row.join(", "));
     }
 }
 
@@ -308,7 +384,7 @@ fn obs_finish(path: &str) -> Result<(), String> {
         snap.to_chrome_trace()
     };
     std::fs::write(path, text).map_err(|e| format!("writing {path}: {e}"))?;
-    println!(
+    outln!(
         "wrote {path} ({} span(s), {} instant(s), {} counter(s))",
         snap.spans().count(),
         snap.instants().count(),
@@ -328,11 +404,7 @@ fn top_live(opts: &args::Options) -> Result<(), String> {
                                                         // from the explain-plane analyzer (computed once; the capture is a
                                                         // finished dump, not the live status file).
     let blame = match opts.get("capture") {
-        Some(cpath) => {
-            let text =
-                std::fs::read_to_string(&cpath).map_err(|e| format!("reading {cpath}: {e}"))?;
-            Some(top::blame_line(&text)?)
-        }
+        Some(cpath) => Some(top::blame_line(&read_capture(&cpath)?)),
         None => None,
     };
     let mut rendered = 0u64;
@@ -351,11 +423,11 @@ fn top_live(opts: &args::Options) -> Result<(), String> {
         let frame = top::render_frame(&doc)?;
         if !once {
             // Clear and home, so the frame repaints in place.
-            print!("\x1b[2J\x1b[H");
+            out!("\x1b[2J\x1b[H");
         }
-        print!("{frame}");
+        out!("{frame}");
         if let Some(line) = &blame {
-            println!("{line}");
+            outln!("{line}");
         }
         rendered += 1;
         let done = doc
@@ -374,18 +446,18 @@ fn top_live(opts: &args::Options) -> Result<(), String> {
 fn report_html(opts: &args::Options) -> Result<(), String> {
     let input = opts.require("input")?;
     let out_path = opts.require("html")?;
-    let text = std::fs::read_to_string(&input).map_err(|e| format!("reading {input}: {e}"))?;
+    let capture = read_capture(&input)?;
     let title = opts.get("title").unwrap_or_else(|| input.clone());
-    let html = adaptcomm_obs::report::html_report(&text, &title)?;
+    let html = adaptcomm_obs::report::html_report(&capture, &title);
     std::fs::write(&out_path, &html).map_err(|e| format!("writing {out_path}: {e}"))?;
-    println!("wrote {out_path} ({} bytes)", html.len());
+    outln!("wrote {out_path} ({} bytes)", html.len());
     Ok(())
 }
 
 /// `adaptcomm explain`: critical-path blame, slack, and what-if
 /// projections for a capture or an analytic schedule.
 fn explain(opts: &args::Options) -> Result<(), String> {
-    use adaptcomm_obs::causal::{transfers_from_text, CausalDag};
+    use adaptcomm_obs::causal::{self, CausalDag};
 
     let k: f64 = opts.parsed_or("k", 2.0)?;
     if k < 1.0 {
@@ -396,8 +468,7 @@ fn explain(opts: &args::Options) -> Result<(), String> {
     // The run under analysis: a capture, or an analytic schedule (which
     // also knows the matrix lower bound, so the gap can be reported).
     let (dag, lower_bound_ms, label) = if let Some(path) = opts.get("input") {
-        let text = std::fs::read_to_string(&path).map_err(|e| format!("reading {path}: {e}"))?;
-        let transfers = transfers_from_text(&text)?;
+        let transfers = causal::transfers(&read_capture(&path)?);
         if transfers.is_empty() {
             return Err(format!(
                 "{path} holds no transfer spans (spans with src/dst attrs); \
@@ -415,7 +486,8 @@ fn explain(opts: &args::Options) -> Result<(), String> {
             scenario_by_name(&name, n)?.instance(p, seed).matrix
         } else {
             return Err(
-                "give --input <obs dump>, --matrix <file.csv>, or --scenario <name> --p <N>".into(),
+                "give --input <capture.jsonl>, --matrix <file.csv>, or --scenario <name> --p <N>"
+                    .into(),
             );
         };
         let algorithm = opts.get("algorithm").unwrap_or_else(|| "openshop".into());
@@ -428,7 +500,7 @@ fn explain(opts: &args::Options) -> Result<(), String> {
         )
     };
 
-    println!(
+    outln!(
         "explain: {label} | {} transfer(s) | completion {:.3} ms",
         dag.transfers().len(),
         dag.completion_ms()
@@ -439,35 +511,49 @@ fn explain(opts: &args::Options) -> Result<(), String> {
         } else {
             0.0
         };
-        println!("lower bound: {lb:.3} ms | gap above t_lb: {gap:.2}%");
+        outln!("lower bound: {lb:.3} ms | gap above t_lb: {gap:.2}%");
     }
 
     let path = dag.critical_path();
-    println!(
+    outln!(
         "critical path: {} hop(s) explaining all {:.3} ms",
         path.len(),
         dag.completion_ms()
     );
-    println!(
+    outln!(
         "  {:>4} {:>4} {:>12} {:>10} {:>10} {:>12}",
-        "src", "dst", "start(ms)", "dur(ms)", "wait(ms)", "contrib(ms)"
+        "src",
+        "dst",
+        "start(ms)",
+        "dur(ms)",
+        "wait(ms)",
+        "contrib(ms)"
     );
     for step in &path {
         let t = step.transfer;
-        println!(
+        outln!(
             "  {:>4} {:>4} {:>12.3} {:>10.3} {:>10.3} {:>12.3}",
-            t.src, t.dst, t.start_ms, t.dur_ms, step.wait_ms, step.contribution_ms
+            t.src,
+            t.dst,
+            t.start_ms,
+            t.dur_ms,
+            step.wait_ms,
+            step.contribution_ms
         );
     }
 
     let blame = dag.blame();
-    println!("blame (critical-path time per link):");
-    println!(
+    outln!("blame (critical-path time per link):");
+    outln!(
         "  {:>8} {:>10} {:>10} {:>5} {:>7}",
-        "link", "busy(ms)", "wait(ms)", "hops", "share%"
+        "link",
+        "busy(ms)",
+        "wait(ms)",
+        "hops",
+        "share%"
     );
     for l in &blame.links {
-        println!(
+        outln!(
             "  {:>8} {:>10.3} {:>10.3} {:>5} {:>7.1}",
             format!("{}->{}", l.src, l.dst),
             l.busy_ms,
@@ -480,21 +566,23 @@ fn explain(opts: &args::Options) -> Result<(), String> {
             }
         );
     }
-    println!("processors on the path:");
-    println!("  {:>5} {:>10} {:>10}", "proc", "send(ms)", "recv(ms)");
+    outln!("processors on the path:");
+    outln!("  {:>5} {:>10} {:>10}", "proc", "send(ms)", "recv(ms)");
     for p in &blame.procs {
-        println!("  {:>5} {:>10.3} {:>10.3}", p.proc, p.send_ms, p.recv_ms);
+        outln!("  {:>5} {:>10.3} {:>10.3}", p.proc, p.send_ms, p.recv_ms);
     }
 
-    print!("{}", render_slack_histogram(&dag));
+    out!("{}", render_slack_histogram(&dag));
 
-    println!("what-if (one link {k:.1}x faster, realized port orders fixed):");
-    println!(
+    outln!("what-if (one link {k:.1}x faster, realized port orders fixed):");
+    outln!(
         "  {:>8} {:>14} {:>11}",
-        "link", "predicted(ms)", "delta(ms)"
+        "link",
+        "predicted(ms)",
+        "delta(ms)"
     );
     for w in dag.interventions(k, top_k.max(1)) {
-        println!(
+        outln!(
             "  {:>8} {:>14.3} {:>11.3}",
             format!("{}->{}", w.src, w.dst),
             w.predicted_ms,
@@ -509,7 +597,7 @@ fn explain(opts: &args::Options) -> Result<(), String> {
     if let Some(out) = opts.get("capture") {
         let snap = synthetic_capture(dag.transfers());
         std::fs::write(&out, snap.to_jsonl()).map_err(|e| format!("writing {out}: {e}"))?;
-        println!("wrote {out} ({} transfer span(s))", dag.transfers().len());
+        outln!("wrote {out} ({} transfer span(s))", dag.transfers().len());
     }
     Ok(())
 }
@@ -580,11 +668,8 @@ fn synthetic_capture(transfers: &[adaptcomm_obs::causal::Transfer]) -> adaptcomm
 fn obs_diff(opts: &args::Options) -> Result<(), String> {
     let base = opts.require("base")?;
     let head = opts.require("head")?;
-    let base_text = std::fs::read_to_string(&base).map_err(|e| format!("reading {base}: {e}"))?;
-    let head_text = std::fs::read_to_string(&head).map_err(|e| format!("reading {head}: {e}"))?;
-    let diff = adaptcomm_obs::causal::diff_captures(&base_text, &head_text)
-        .map_err(|e| format!("diffing {base} vs {head}: {e}"))?;
-    print!("{}", diff.render());
+    let diff = adaptcomm_obs::causal::diff_captures(&read_capture(&base)?, &read_capture(&head)?);
+    out!("{}", diff.render());
     if let Some(threshold) = opts.get("fail-over") {
         let threshold: f64 = threshold
             .parse()
@@ -602,12 +687,8 @@ fn obs_diff(opts: &args::Options) -> Result<(), String> {
 
 fn obs_summary(opts: &args::Options) -> Result<(), String> {
     let path = opts.require("input")?;
-    let text = std::fs::read_to_string(&path).map_err(|e| format!("reading {path}: {e}"))?;
-    // Extension-based dispatch: `.prom` parses as Prometheus text,
-    // unknown extensions get a typed error naming what is supported.
-    let summary =
-        adaptcomm_obs::Summary::from_named_text(&path, &text).map_err(|e| e.to_string())?;
-    print!("{}", summary.render());
+    let summary = adaptcomm_obs::Summary::from_snapshot(&read_capture(&path)?);
+    out!("{}", summary.render());
     Ok(())
 }
 
@@ -619,9 +700,7 @@ fn obs_merge(opts: &args::Options) -> Result<(), String> {
     let inputs = opts.require("inputs")?;
     let mut parts: Vec<(String, adaptcomm_obs::Snapshot)> = Vec::new();
     for path in inputs.split(',').filter(|p| !p.is_empty()) {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-        let snap = adaptcomm_obs::Snapshot::from_jsonl(&text)
-            .map_err(|e| format!("{path} is not snapshot JSONL: {e}"))?;
+        let snap = read_capture(path)?;
         // The process label is the file stem: client.jsonl -> "client".
         let base = path.rsplit(['/', '\\']).next().unwrap_or(path);
         let label = base.strip_suffix(".jsonl").unwrap_or(base).to_string();
@@ -632,7 +711,7 @@ fn obs_merge(opts: &args::Options) -> Result<(), String> {
     }
     let trace = adaptcomm_obs::merge_chrome_trace(&parts);
     std::fs::write(&out, &trace).map_err(|e| format!("writing {out}: {e}"))?;
-    println!("wrote {out} ({} process(es))", parts.len());
+    outln!("wrote {out} ({} process(es))", parts.len());
     Ok(())
 }
 
@@ -653,7 +732,7 @@ fn metrics_begin(
     obs.set_enabled(true);
     let server = adaptcomm_obs::serve_metrics_with(obs.clone(), ("127.0.0.1", port), endpoints)
         .map_err(|e| format!("binding metrics port {port}: {e}"))?;
-    println!("metrics on http://{}/metrics", server.local_addr());
+    outln!("metrics on http://{}/metrics", server.local_addr());
     Ok(Some(server))
 }
 
@@ -675,7 +754,7 @@ fn generate(opts: &args::Options) -> Result<(), String> {
     let n: usize = opts.parsed_or("n", p * 8)?;
     let scenario = scenario_by_name(&name, n)?;
     let inst = scenario.instance(p, seed);
-    print!("{}", csv::to_csv(&inst.matrix));
+    out!("{}", csv::to_csv(&inst.matrix));
     Ok(())
 }
 
@@ -709,7 +788,7 @@ fn schedule(opts: &args::Options) -> Result<(), String> {
     schedule
         .validate()
         .map_err(|e| format!("internal: invalid schedule: {e}"))?;
-    println!(
+    outln!(
         "{}: completion {} | lower bound {} | ratio {:.4}",
         scheduler.name(),
         schedule.completion_time(),
@@ -717,12 +796,15 @@ fn schedule(opts: &args::Options) -> Result<(), String> {
         schedule.lb_ratio()
     );
     if opts.flag("events") {
-        println!(
+        outln!(
             "{:>6} {:>6} {:>12} {:>12}",
-            "src", "dst", "start(ms)", "finish(ms)"
+            "src",
+            "dst",
+            "start(ms)",
+            "finish(ms)"
         );
         for e in schedule.events() {
-            println!(
+            outln!(
                 "{:>6} {:>6} {:>12.2} {:>12.2}",
                 e.src,
                 e.dst,
@@ -732,17 +814,17 @@ fn schedule(opts: &args::Options) -> Result<(), String> {
         }
     }
     if opts.flag("diagram") {
-        println!("{}", TimingDiagram::of_schedule(&schedule).render(24));
+        outln!("{}", TimingDiagram::of_schedule(&schedule).render(24));
     }
     if let Some(path) = opts.get("json") {
         let json = adaptcomm_core::export::schedule_to_json(&schedule);
         std::fs::write(&path, json).map_err(|e| format!("writing {path}: {e}"))?;
-        println!("wrote {path}");
+        outln!("wrote {path}");
     }
     if let Some(path) = opts.get("svg") {
         let svg = TimingDiagram::of_schedule(&schedule).render_svg(900, 600);
         std::fs::write(&path, svg).map_err(|e| format!("writing {path}: {e}"))?;
-        println!("wrote {path}");
+        outln!("wrote {path}");
     }
     Ok(())
 }
@@ -785,8 +867,8 @@ fn sweep(opts: &args::Options) -> Result<(), String> {
     let obs_path = obs_begin(opts);
     let clock = std::time::Instant::now();
     let stats = runner.stats(&grid);
-    print!("{}", stats.render());
-    println!(
+    out!("{}", stats.render());
+    outln!(
         "{} instances in {:.2} s on {} thread(s)",
         stats.instances,
         clock.elapsed().as_secs_f64(),
@@ -954,11 +1036,15 @@ fn run_live(opts: &args::Options) -> Result<(), String> {
         });
     }
 
-    println!(
+    outln!(
         "live run: backend {} | {} | P = {} | algorithm {} | seed {}",
-        report.backend, scenario_name, p, algorithm, seed
+        report.backend,
+        scenario_name,
+        p,
+        algorithm,
+        seed
     );
-    println!(
+    outln!(
         "  messages {:>6}   bytes {:>12}   receipts {}",
         report.records.len(),
         report.receipts.iter().map(|r| r.bytes).sum::<u64>(),
@@ -968,20 +1054,20 @@ fn run_live(opts: &args::Options) -> Result<(), String> {
             "MISMATCH"
         }
     );
-    println!(
+    outln!(
         "  planned {:>10.2} ms   realized {:>10.2} ms   wall {:>8.2} ms",
         report.planned_makespan.as_ms(),
         report.makespan.as_ms(),
         report.trace.wall_elapsed_us() as f64 / 1000.0
     );
     if faulted {
-        println!(
+        outln!(
             "  drift: bandwidth x{drift:.2} on {} link(s) at {drift_at:.1} ms",
             p.div_ceil(3)
         );
     }
     if adapt {
-        println!(
+        outln!(
             "  loop: trigger {trigger_name} | replanner {replanner_name} | {} checkpoint(s), {} reschedule(s) ({} incremental), {} attempt(s), {} measurement(s) published",
             report.checkpoints_evaluated,
             report.reschedules,
@@ -991,12 +1077,16 @@ fn run_live(opts: &args::Options) -> Result<(), String> {
         );
     }
     if opts.flag("trace") {
-        println!(
+        outln!(
             "{:>10} {:>6} {:>6} {:>12} {:>12}",
-            "event", "src", "dst", "modeled(ms)", "wall(us)"
+            "event",
+            "src",
+            "dst",
+            "modeled(ms)",
+            "wall(us)"
         );
         for e in &report.trace.events {
-            println!(
+            outln!(
                 "{:>10} {:>6} {:>6} {:>12.3} {:>12}",
                 format!("{:?}", e.kind),
                 e.src,
@@ -1045,50 +1135,53 @@ fn chaos_run(opts: &args::Options) -> Result<(), String> {
     let report = run_chaos(&inst.network, &sizes, &plan)
         .map_err(|e| format!("the run did not recover: {e}"))?;
 
-    println!("chaos run: scenario {scenario} | workload {workload_name} | P = {p} | seed {seed}");
+    outln!("chaos run: scenario {scenario} | workload {workload_name} | P = {p} | seed {seed}");
     let events: Vec<String> = plan.events.iter().map(|e| e.to_string()).collect();
-    println!("  plan: {}", events.join("; "));
-    println!(
+    outln!("  plan: {}", events.join("; "));
+    outln!(
         "  fault-free {:>10.2} ms   chaotic {:>10.2} ms   attempts {}   reschedules {}",
-        report.fault_free_ms, report.chaos_ms, report.attempts, report.reschedules
+        report.fault_free_ms,
+        report.chaos_ms,
+        report.attempts,
+        report.reschedules
     );
     if report.faults.is_empty() {
-        println!("  faults: none detected");
+        outln!("  faults: none detected");
     } else {
-        println!("  faults:");
+        outln!("  faults:");
         for f in &report.faults {
             let recovered = f
                 .recovery_ms
                 .map(|t| format!("{t:>10.2} ms"))
                 .unwrap_or_else(|| "   (never)".into());
-            println!(
+            outln!(
                 "    {:>9}  link {}->{}  detected {:>10.2} ms  recovered {recovered}  parked {:>3}  probes {}",
                 f.kind, f.link.0, f.link.1, f.detected_ms, f.parked, f.probes
             );
         }
     }
     if report.quarantined.is_empty() {
-        println!("  quarantined: none");
+        outln!("  quarantined: none");
     } else {
         let links: Vec<String> = report
             .quarantined
             .iter()
             .map(|(s, d)| format!("{s}->{d}"))
             .collect();
-        println!("  quarantined: {}", links.join(", "));
+        outln!("  quarantined: {}", links.join(", "));
     }
     let measured: usize = report.histogram.iter().map(|&(_, n)| n).sum();
     if measured > 0 {
-        println!("  recovery-time histogram (ms):");
+        outln!("  recovery-time histogram (ms):");
         for &(bound, n) in report.histogram.iter().filter(|&&(_, n)| n > 0) {
             if bound.is_finite() {
-                println!("    <= {bound:>8.2}: {n}");
+                outln!("    <= {bound:>8.2}: {n}");
             } else {
-                println!("    >  (last)  : {n}");
+                outln!("    >  (last)  : {n}");
             }
         }
     }
-    println!(
+    outln!(
         "  receipts: {}",
         if report.receipts_ok {
             "verified (every payload exactly once)"
@@ -1096,7 +1189,7 @@ fn chaos_run(opts: &args::Options) -> Result<(), String> {
             "MISMATCH"
         }
     );
-    println!("{}", report.slo_line());
+    outln!("{}", report.slo_line());
     if let Some(path) = obs_path {
         obs_finish(&path)?;
     }
@@ -1115,7 +1208,7 @@ fn chaos_run(opts: &args::Options) -> Result<(), String> {
             report.slowdown()
         );
         match adaptcomm_obs::flight().dump(std::path::Path::new(&flight_path), &reason) {
-            Ok(()) => println!("  flight recorder dumped to {flight_path}"),
+            Ok(()) => outln!("  flight recorder dumped to {flight_path}"),
             Err(e) => eprintln!("  flight recorder: cannot write {flight_path}: {e}"),
         }
         return Err(format!(
@@ -1135,15 +1228,19 @@ fn compare(opts: &args::Options) -> Result<(), String> {
     }
     let obs_path = obs_begin(opts);
     let obs = adaptcomm_obs::global();
-    println!(
+    outln!(
         "P = {}, lower bound {}, {} solver thread(s)",
         matrix.len(),
         matrix.lower_bound(),
         threads
     );
-    println!(
+    outln!(
         "{:>14} {:>14} {:>8} {:>12} {:>12}",
-        "algorithm", "completion", "ratio", "sched-ms", "construction"
+        "algorithm",
+        "completion",
+        "ratio",
+        "sched-ms",
+        "construction"
     );
     for scheduler in all_schedulers_threaded(threads) {
         // Construction cost is reported alongside quality — the §6.2
@@ -1158,7 +1255,7 @@ fn compare(opts: &args::Options) -> Result<(), String> {
         // algorithms without one. A second `schedule` on the same
         // scheduler value would report "hit".
         let disposition = scheduler.construction_disposition().unwrap_or("-");
-        println!(
+        outln!(
             "{:>14} {:>14} {:>8.4} {:>12.3} {:>12}",
             scheduler.name(),
             format!("{}", s.completion_time()),
@@ -1205,7 +1302,7 @@ fn plan_server(opts: &args::Options) -> Result<(), String> {
         threads: opts.parsed_or("threads", 1)?,
     };
     let server = PlanServer::bind(&addr, config).map_err(|e| format!("binding {addr}: {e}"))?;
-    println!("plan server listening on {}", server.local_addr());
+    outln!("plan server listening on {}", server.local_addr());
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
 
@@ -1213,7 +1310,7 @@ fn plan_server(opts: &args::Options) -> Result<(), String> {
     server.join();
 
     let stats = service.cache_stats();
-    println!(
+    outln!(
         "plan server stopped: {} plan(s) cached, {} exact hit(s), {} incremental hit(s), \
          {} warm hit(s), {} miss(es), {} eviction(s)",
         stats.inserts,
@@ -1224,7 +1321,7 @@ fn plan_server(opts: &args::Options) -> Result<(), String> {
         stats.evictions
     );
     for (tenant, dir) in service.directory().per_tenant_stats() {
-        println!(
+        outln!(
             "tenant {tenant}: {} publish(es), {} quer(ies), epoch {}",
             dir.publishes,
             dir.queries,
@@ -1298,7 +1395,7 @@ fn plan_client(opts: &args::Options) -> Result<(), String> {
 
     if shutdown {
         match client.shutdown().map_err(|e| e.to_string())? {
-            PlanResponse::Bye => println!("server acknowledged shutdown"),
+            PlanResponse::Bye => outln!("server acknowledged shutdown"),
             other => return Err(format!("unexpected shutdown reply: {other:?}")),
         }
     }
@@ -1332,7 +1429,7 @@ fn print_plan_response(response: &adaptcomm_plansrv::proto::PlanResponse) -> Res
     use adaptcomm_plansrv::proto::PlanResponse;
     match response {
         PlanResponse::Ok(ok) => {
-            println!(
+            outln!(
                 "cache: {}  epoch: {}  seq: {}  completion: {:.3} ms  service: {:.3} ms  \
                  round1: {} scan(s){}  total: {} scan(s){}",
                 ok.cache.as_str(),
@@ -1354,7 +1451,7 @@ fn print_plan_response(response: &adaptcomm_plansrv::proto::PlanResponse) -> Res
                     .iter()
                     .map(|(s, d)| format!("{s}->{d}"))
                     .collect();
-                println!(
+                outln!(
                     "quality: lb-gap {:.2}%  critical path: {}",
                     q.lb_gap_pct,
                     hops.join(" ")
@@ -1363,14 +1460,14 @@ fn print_plan_response(response: &adaptcomm_plansrv::proto::PlanResponse) -> Res
             Ok(())
         }
         PlanResponse::NeedMatrix => {
-            println!("cache: need-matrix  (resend with --matrix or --scenario)");
+            outln!("cache: need-matrix  (resend with --matrix or --scenario)");
             Ok(())
         }
         PlanResponse::Rejected {
             retry_after_ms,
             detail,
         } => {
-            println!("rejected: retry after {retry_after_ms:.3} ms  ({detail})");
+            outln!("rejected: retry after {retry_after_ms:.3} ms  ({detail})");
             Ok(())
         }
         PlanResponse::Error { detail } => Err(format!("server error: {detail}")),

@@ -43,12 +43,11 @@ fn sparkline(values: &[f64]) -> String {
 /// The "slowest link" line `adaptcomm top --capture <path>` appends
 /// under each frame: the link carrying the most critical-path time in
 /// the captured run, from the explain-plane analyzer.
-pub fn blame_line(capture_text: &str) -> Result<String, String> {
-    use adaptcomm_obs::causal::{transfers_from_text, CausalDag};
-    let dag = CausalDag::new(transfers_from_text(capture_text)?);
-    let blame = dag.blame();
+pub fn blame_line(capture: &adaptcomm_obs::Snapshot) -> String {
+    use adaptcomm_obs::causal::{transfers, CausalDag};
+    let blame = CausalDag::new(transfers(capture)).blame();
     match blame.links.first() {
-        Some(l) => Ok(format!(
+        Some(l) => format!(
             "slowest link: {}->{}  {:.2} ms on the critical path \
              ({} hop(s), {:.0}% of {:.2} ms)",
             l.src,
@@ -61,8 +60,8 @@ pub fn blame_line(capture_text: &str) -> Result<String, String> {
                 0.0
             },
             blame.completion_ms
-        )),
-        None => Ok("slowest link: no transfer spans in the capture".into()),
+        ),
+        None => "slowest link: no transfer spans in the capture".into(),
     }
 }
 
@@ -240,10 +239,10 @@ mod tests {
             events: vec![span(0, 1, 0, 10_000), span(0, 2, 10_000, 30_000)],
             ..Default::default()
         };
-        let line = blame_line(&snap.to_jsonl()).unwrap();
+        let line = blame_line(&snap);
         assert!(line.contains("slowest link: 0->2"), "{line}");
         assert!(line.contains("30.00 ms"), "{line}");
-        let empty = blame_line(&Snapshot::default().to_jsonl()).unwrap();
+        let empty = blame_line(&Snapshot::default());
         assert!(empty.contains("no transfer spans"), "{empty}");
     }
 }

@@ -127,21 +127,15 @@ fn obs_dump_and_summary_round_trip() {
     assert!(text.contains("\"schedule\""));
     assert!(text.contains("\"transfer\""));
 
+    // Chrome output is write-only: the summary reader names the JSONL
+    // form instead of reading it back.
     let out = bin()
         .args(["obs-summary", "--input", trace_path.to_str().unwrap()])
         .output()
         .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let summary = String::from_utf8(out.stdout).unwrap();
-    assert!(summary.contains("phase"));
-    assert!(summary.contains("transfer"));
-    assert!(summary.contains("schedule"));
+    assert_jsonl_hint(&out, "obs-summary on a Chrome trace");
 
-    // JSONL export of the same run parses as a summary too.
+    // JSONL export of the same run parses as a summary.
     let jsonl_path = temp_path("obs-trace.jsonl");
     let out = bin()
         .args(["run", "--p", "4", "--obs", jsonl_path.to_str().unwrap()])
@@ -153,9 +147,26 @@ fn obs_dump_and_summary_round_trip() {
         .output()
         .unwrap();
     assert!(out.status.success());
+    let summary = String::from_utf8(out.stdout).unwrap();
+    assert!(summary.contains("phase"));
+    assert!(summary.contains("transfer"));
+    assert!(summary.contains("schedule"));
 
     let _ = std::fs::remove_file(trace_path);
     let _ = std::fs::remove_file(jsonl_path);
+}
+
+/// A capture reader given a write-only dump exits 2 with the typed
+/// error that names the JSONL form, and never panics.
+fn assert_jsonl_hint(out: &std::process::Output, what: &str) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{what}: {stderr}");
+    assert!(
+        stderr.contains("is not a JSONL capture"),
+        "{what}: {stderr}"
+    );
+    assert!(stderr.contains("--obs <path>.jsonl"), "{what}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{what}: {stderr}");
 }
 
 /// A self-contained HTML sanity check: one document, inline SVG, no
@@ -210,6 +221,13 @@ fn report_renders_html_from_both_jsonl_and_chrome_dumps() {
             ])
             .output()
             .unwrap();
+        if name == "chrome" {
+            // Chrome output is write-only: no dashboard, the JSONL hint.
+            assert_jsonl_hint(&out, "report on a Chrome trace");
+            assert!(!html_path.exists());
+            let _ = std::fs::remove_file(dump);
+            continue;
+        }
         assert!(
             out.status.success(),
             "{name}: {}",
@@ -218,13 +236,82 @@ fn report_renders_html_from_both_jsonl_and_chrome_dumps() {
         let html = std::fs::read_to_string(&html_path).unwrap();
         assert_self_contained_html(&html);
         assert!(html.contains("smoke run"));
-        // The adaptive run's prober feeds link series; both dump
-        // formats must carry them into the dashboard.
+        // The adaptive run's prober feeds link series into the
+        // dashboard.
         assert!(html.contains("link."), "{name}: link series missing");
 
         let _ = std::fs::remove_file(dump);
         let _ = std::fs::remove_file(html_path);
     }
+}
+
+/// Every capture reader — `obs-summary`, `explain --input`, `report`,
+/// `obs-diff` and `top --capture` — refuses Chrome and Prometheus dumps
+/// with the same typed error.
+#[test]
+fn every_capture_reader_rejects_write_only_dumps() {
+    let jsonl = temp_path("readers.jsonl");
+    for path in [
+        temp_path("readers.json"),
+        temp_path("readers.prom"),
+        jsonl.clone(),
+    ] {
+        let out = bin()
+            .args(["run", "--p", "4", "--obs", path.to_str().unwrap()])
+            .output()
+            .unwrap();
+        assert!(out.status.success());
+    }
+    let html = temp_path("readers.html");
+    for ext in ["json", "prom"] {
+        let dump = temp_path(&format!("readers.{ext}"));
+        let dump = dump.to_str().unwrap();
+        let jsonl = jsonl.to_str().unwrap();
+        let commands: [&[&str]; 6] = [
+            &["obs-summary", "--input", dump],
+            &["explain", "--input", dump],
+            &["report", "--input", dump, "--html", html.to_str().unwrap()],
+            &["obs-diff", "--base", dump, "--head", jsonl],
+            &["obs-diff", "--base", jsonl, "--head", dump],
+            &[
+                "top",
+                "--input",
+                "/definitely/missing.json",
+                "--once",
+                "--capture",
+                dump,
+            ],
+        ];
+        for args in commands {
+            let out = bin().args(args).output().unwrap();
+            assert_jsonl_hint(&out, &format!("{args:?}"));
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                stderr.contains(dump),
+                "{args:?} must name the file: {stderr}"
+            );
+        }
+        let _ = std::fs::remove_file(dump);
+    }
+    assert!(!html.exists());
+    let _ = std::fs::remove_file(jsonl);
+}
+
+/// A reader that goes away mid-output (`adaptcomm explain … | head -1`)
+/// is a clean exit, not a panic.
+#[test]
+fn closed_stdout_exits_cleanly() {
+    let (reader, writer) = std::io::pipe().unwrap();
+    drop(reader);
+    let out = bin()
+        .args(["explain", "--scenario", "mixed", "--p", "8", "--seed", "4"])
+        .stdout(writer)
+        .stderr(std::process::Stdio::piped())
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
 #[test]

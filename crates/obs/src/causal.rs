@@ -3,10 +3,9 @@
 //!
 //! Everything here operates on plain [`Transfer`] records, so the module
 //! has no opinion about where a run came from: `adaptcomm-core` feeds it
-//! analytic [`Schedule`]s (via `core::analyze`), the CLI feeds it
-//! captures recorded by `runtime::obs_bridge` —
-//! [`transfers_from_text`] understands both exporter formats (JSONL and
-//! Chrome `trace_event`).
+//! analytic [`Schedule`]s (via `core::analyze`), the CLI feeds it JSONL
+//! captures recorded by `runtime::obs_bridge` — [`transfers`] pulls the
+//! realized transfers out of a parsed [`Snapshot`].
 //!
 //! # The DAG, under the §3 port model
 //!
@@ -36,8 +35,7 @@
 //!
 //! [`Schedule`]: ../../adaptcomm_core/schedule/struct.Schedule.html
 
-use crate::json::Value;
-use crate::snapshot::Snapshot;
+use crate::snapshot::{Snapshot, SpanRecord};
 use crate::AttrValue;
 use std::fmt::Write as _;
 
@@ -414,17 +412,6 @@ impl CausalDag {
 // Capture extraction
 // ---------------------------------------------------------------------
 
-/// One span pulled out of a capture for diffing: name, track, interval,
-/// and the link attribution when the span carried `src`/`dst` attrs.
-#[derive(Debug, Clone, PartialEq)]
-struct CapturedSpan {
-    name: String,
-    tid: u64,
-    start_ms: f64,
-    dur_ms: f64,
-    link: Option<(usize, usize)>,
-}
-
 fn attr_usize(attrs: &[(String, AttrValue)], key: &str) -> Option<usize> {
     attrs
         .iter()
@@ -437,120 +424,33 @@ fn attr_usize(attrs: &[(String, AttrValue)], key: &str) -> Option<usize> {
         })
 }
 
-fn arg_usize(args: Option<&Value>, key: &str) -> Option<usize> {
-    let v = args?.get(key)?;
-    match v {
-        Value::Num(x) if *x >= 0.0 && x.fract() == 0.0 => Some(*x as usize),
-        Value::Str(s) => s.parse().ok(),
-        _ => None,
-    }
+/// The link a span is attributed to, when it carries `src`/`dst` attrs.
+fn link_of(span: &SpanRecord) -> Option<(usize, usize)> {
+    Some((
+        attr_usize(&span.attrs, "src")?,
+        attr_usize(&span.attrs, "dst")?,
+    ))
 }
 
-/// Collects spans from either exporter format (auto-detected like
-/// `Summary::from_text`): a Chrome `trace_event` document or a JSONL
-/// event stream. Chrome spans that never close (truncated capture) are
-/// dropped here; `Summary` reports them as typed warnings.
-fn spans_from_text(text: &str) -> Result<Vec<CapturedSpan>, String> {
-    let trimmed = text.trim_start();
-    if trimmed.starts_with('{') {
-        if let Ok(doc) = Value::parse(text) {
-            if doc.get("traceEvents").is_some() {
-                return chrome_spans(&doc);
-            }
-        }
-    }
-    let snap = Snapshot::from_jsonl(text)?;
-    Ok(snap
-        .spans()
-        .map(|s| CapturedSpan {
-            name: s.name.clone(),
-            tid: s.tid,
-            start_ms: s.start_us as f64 / 1_000.0,
-            dur_ms: s.dur_us as f64 / 1_000.0,
-            link: match (attr_usize(&s.attrs, "src"), attr_usize(&s.attrs, "dst")) {
-                (Some(src), Some(dst)) => Some((src, dst)),
-                _ => None,
-            },
-        })
-        .collect())
-}
-
-fn chrome_spans(doc: &Value) -> Result<Vec<CapturedSpan>, String> {
-    let events = doc
-        .get("traceEvents")
-        .and_then(Value::as_arr)
-        .ok_or("missing \"traceEvents\" array")?;
-    let mut out = Vec::new();
-    // Open-span stack per tid; B pushes, E pops its innermost.
-    let mut open: Vec<CapturedSpan> = Vec::new();
-    for e in events {
-        let ph = e.get("ph").and_then(Value::as_str).unwrap_or("");
-        let tid = e.get("tid").and_then(Value::as_u64).unwrap_or(0);
-        let ts = e.get("ts").and_then(Value::as_f64).unwrap_or(0.0);
-        let name = || {
-            e.get("name")
-                .and_then(Value::as_str)
-                .unwrap_or("?")
-                .to_string()
-        };
-        let link = || match (
-            arg_usize(e.get("args"), "src"),
-            arg_usize(e.get("args"), "dst"),
-        ) {
-            (Some(src), Some(dst)) => Some((src, dst)),
-            _ => None,
-        };
-        match ph {
-            "B" => open.push(CapturedSpan {
-                name: name(),
-                tid,
-                start_ms: ts / 1_000.0,
-                dur_ms: 0.0,
-                link: link(),
-            }),
-            "E" => {
-                let idx = open
-                    .iter()
-                    .rposition(|s| s.tid == tid)
-                    .ok_or_else(|| format!("unbalanced \"E\" on tid {tid}"))?;
-                let mut span = open.remove(idx);
-                span.dur_ms = ts / 1_000.0 - span.start_ms;
-                out.push(span);
-            }
-            "X" => {
-                let dur = e.get("dur").and_then(Value::as_f64).unwrap_or(0.0);
-                out.push(CapturedSpan {
-                    name: name(),
-                    tid,
-                    start_ms: ts / 1_000.0,
-                    dur_ms: dur / 1_000.0,
-                    link: link(),
-                });
-            }
-            _ => {}
-        }
-    }
-    // Spans still open belong to a truncated capture: tolerated (the
-    // closed prefix is still analyzable), not an error.
-    Ok(out)
+fn ms(us: u64) -> f64 {
+    us as f64 / 1_000.0
 }
 
 /// Extracts the realized transfers of a capture: every span carrying
 /// `src`/`dst` attrs (the `transfer` spans `runtime::obs_bridge`
-/// records). Auto-detects JSONL vs Chrome `trace_event`.
-pub fn transfers_from_text(text: &str) -> Result<Vec<Transfer>, String> {
-    Ok(spans_from_text(text)?
-        .into_iter()
+/// records).
+pub fn transfers(snap: &Snapshot) -> Vec<Transfer> {
+    snap.spans()
         .filter_map(|s| {
-            let (src, dst) = s.link?;
+            let (src, dst) = link_of(s)?;
             Some(Transfer {
                 src,
                 dst,
-                start_ms: s.start_ms,
-                dur_ms: s.dur_ms,
+                start_ms: ms(s.start_us),
+                dur_ms: ms(s.dur_us),
             })
         })
-        .collect())
+        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -716,45 +616,37 @@ impl CaptureDiff {
     }
 }
 
-/// Diffs two captures (either exporter format each). See
-/// [`CaptureDiff`] for the alignment rules.
-pub fn diff_captures(base_text: &str, head_text: &str) -> Result<CaptureDiff, String> {
-    let base = spans_from_text(base_text)?;
-    let head = spans_from_text(head_text)?;
-
+/// Diffs two parsed captures. See [`CaptureDiff`] for the alignment
+/// rules.
+pub fn diff_captures(base: &Snapshot, head: &Snapshot) -> CaptureDiff {
     // Group both sides by (name, tid), keeping capture order (spans are
     // committed in time order; re-sort by start to be safe).
-    type Group<'a> = ((String, u64), Vec<&'a CapturedSpan>, Vec<&'a CapturedSpan>);
+    type Group<'a> = ((&'a str, u64), [Vec<&'a SpanRecord>; 2]);
     let mut groups: Vec<Group> = Vec::new();
-    let group_of = |key: (String, u64), groups: &mut Vec<Group>| match groups
-        .iter()
-        .position(|(k, _, _)| *k == key)
-    {
-        Some(i) => i,
-        None => {
-            groups.push((key, Vec::new(), Vec::new()));
-            groups.len() - 1
+    for (side, snap) in [base, head].into_iter().enumerate() {
+        for s in snap.spans() {
+            let key = (s.name.as_str(), s.tid);
+            let i = match groups.iter().position(|(k, _)| *k == key) {
+                Some(i) => i,
+                None => {
+                    groups.push((key, [Vec::new(), Vec::new()]));
+                    groups.len() - 1
+                }
+            };
+            groups[i].1[side].push(s);
         }
-    };
-    for s in &base {
-        let i = group_of((s.name.clone(), s.tid), &mut groups);
-        groups[i].1.push(s);
-    }
-    for s in &head {
-        let i = group_of((s.name.clone(), s.tid), &mut groups);
-        groups[i].2.push(s);
     }
 
     let mut phases: Vec<PhaseDelta> = Vec::new();
     let mut links: Vec<LinkDelta> = Vec::new();
-    for (key, mut b, mut h) in groups {
-        b.sort_by(|x, y| x.start_ms.total_cmp(&y.start_ms));
-        h.sort_by(|x, y| x.start_ms.total_cmp(&y.start_ms));
+    for (key, [mut b, mut h]) in groups {
+        b.sort_by_key(|x| x.start_us);
+        h.sort_by_key(|x| x.start_us);
         let phase = match phases.iter_mut().find(|p| p.name == key.0) {
             Some(p) => p,
             None => {
                 phases.push(PhaseDelta {
-                    name: key.0.clone(),
+                    name: key.0.to_string(),
                     base_count: 0,
                     head_count: 0,
                     base_ms: 0.0,
@@ -766,9 +658,9 @@ pub fn diff_captures(base_text: &str, head_text: &str) -> Result<CaptureDiff, St
         phase.base_count += b.len() as u64;
         phase.head_count += h.len() as u64;
         for (bs, hs) in b.iter().zip(h.iter()) {
-            phase.base_ms += bs.dur_ms;
-            phase.head_ms += hs.dur_ms;
-            if let (Some(link), Some(_)) = (bs.link, hs.link) {
+            phase.base_ms += ms(bs.dur_us);
+            phase.head_ms += ms(hs.dur_us);
+            if let (Some(link), Some(_)) = (link_of(bs), link_of(hs)) {
                 let row = match links
                     .iter_mut()
                     .find(|l| l.src == link.0 && l.dst == link.1)
@@ -784,8 +676,8 @@ pub fn diff_captures(base_text: &str, head_text: &str) -> Result<CaptureDiff, St
                         links.last_mut().unwrap()
                     }
                 };
-                row.base_ms += bs.dur_ms;
-                row.head_ms += hs.dur_ms;
+                row.base_ms += ms(bs.dur_us);
+                row.head_ms += ms(hs.dur_us);
             }
         }
     }
@@ -796,7 +688,7 @@ pub fn diff_captures(base_text: &str, head_text: &str) -> Result<CaptureDiff, St
             .then(a.src.cmp(&b.src))
             .then(a.dst.cmp(&b.dst))
     });
-    Ok(CaptureDiff { phases, links })
+    CaptureDiff { phases, links }
 }
 
 #[cfg(test)]
@@ -962,22 +854,20 @@ mod tests {
     }
 
     #[test]
-    fn transfers_extract_from_both_exporter_formats() {
-        let snap = capture_snapshot();
-        for text in [snap.to_jsonl(), snap.to_chrome_trace()] {
-            let transfers = transfers_from_text(&text).unwrap();
-            assert_eq!(transfers.len(), 5);
-            let dag = CausalDag::new(transfers);
-            assert_eq!(dag.completion_ms(), 37.0);
-            let blame = dag.blame();
-            assert_eq!((blame.links[0].src, blame.links[0].dst), (3, 2));
-        }
+    fn transfers_extract_from_a_jsonl_capture() {
+        let snap = Snapshot::from_jsonl(&capture_snapshot().to_jsonl()).unwrap();
+        let transfers = transfers(&snap);
+        assert_eq!(transfers.len(), 5);
+        let dag = CausalDag::new(transfers);
+        assert_eq!(dag.completion_ms(), 37.0);
+        let blame = dag.blame();
+        assert_eq!((blame.links[0].src, blame.links[0].dst), (3, 2));
     }
 
     #[test]
     fn self_diff_is_all_zero() {
-        let text = capture_snapshot().to_jsonl();
-        let diff = diff_captures(&text, &text).unwrap();
+        let snap = capture_snapshot();
+        let diff = diff_captures(&snap, &snap);
         assert!(diff.worst_regression().is_none(), "{diff:?}");
         for p in &diff.phases {
             assert_eq!(p.base_count, p.head_count);
@@ -1003,7 +893,7 @@ mod tests {
                 }
             }
         }
-        let diff = diff_captures(&base.to_jsonl(), &head.to_jsonl()).unwrap();
+        let diff = diff_captures(&base, &head);
         let (label, pct) = diff.worst_regression().unwrap();
         assert_eq!(label, "link 3\u{2192}2");
         assert!((pct - 50.0).abs() < 1e-9, "{pct}");
@@ -1016,7 +906,7 @@ mod tests {
         let base = capture_snapshot();
         let mut head = base.clone();
         head.events.pop(); // lose the last span
-        let diff = diff_captures(&base.to_jsonl(), &head.to_jsonl()).unwrap();
+        let diff = diff_captures(&base, &head);
         let phase = diff.phases.iter().find(|p| p.name == "transfer").unwrap();
         assert_eq!(phase.base_count, 5);
         assert_eq!(phase.head_count, 4);

@@ -1,10 +1,9 @@
 //! A minimal JSON value model with a hand-rolled writer and parser.
 //!
-//! The build environment has no serde_json, so — like `bench::perf`'s
-//! report writer — the exporters emit JSON by hand. Unlike `perf`, the
-//! obs formats (JSONL event streams, Chrome `trace_event` files) need a
-//! *generic* value model on both sides: the summary command parses
-//! traces it did not write, and round-trip tests compare full documents.
+//! The build environment has no serde_json, so the exporters emit JSON
+//! by hand and this is the workspace's one JSON reader: JSONL captures,
+//! status documents, and `bench::perf`'s `BENCH_*` files all parse
+//! through [`Value::parse`].
 //!
 //! Objects preserve insertion order (a `Vec` of pairs, not a map): the
 //! exporters emit keys in a canonical order and the round-trip tests
@@ -65,6 +64,14 @@ impl Value {
     pub fn as_arr(&self) -> Option<&[Value]> {
         match self {
             Value::Arr(items) => Some(items),
+            _ => None,
+        }
+    }
+
+    /// The key/value pairs behind an `Obj`, in document order.
+    pub fn as_obj(&self) -> Option<&[(String, Value)]> {
+        match self {
+            Value::Obj(pairs) => Some(pairs),
             _ => None,
         }
     }

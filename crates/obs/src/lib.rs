@@ -49,7 +49,7 @@ pub use snapshot::{
     merge_chrome_trace, prom_name, CounterSnapshot, Event, GaugeSnapshot, HistogramSnapshot,
     InstantRecord, SeriesSnapshot, Snapshot, SpanRecord,
 };
-pub use summary::{PhaseTotal, Summary, SummaryError, SummaryWarning};
+pub use summary::{PhaseTotal, Summary};
 pub use trace::TraceContext;
 
 use std::collections::BTreeMap;

@@ -1,20 +1,18 @@
 //! Self-contained HTML dashboard rendering for `adaptcomm report`.
 //!
-//! [`html_report`] turns either exporter format — a JSONL event stream
-//! or a Chrome `trace_event` document — into one standalone HTML file:
-//! inline CSS, inline SVG time-series charts, a link-health matrix, and
-//! the per-phase span table. No external assets, scripts, or network
-//! fetches, so the file can be archived as a CI artifact and opened
-//! years later.
+//! [`html_report`] turns a parsed JSONL capture into one standalone HTML
+//! file: inline CSS, inline SVG time-series charts, a link-health
+//! matrix, and the per-phase span table. No external assets, scripts,
+//! or network fetches, so the file can be archived as a CI artifact and
+//! opened years later.
 //!
-//! Time series arrive as `type:"series"` lines in JSONL or as Chrome
-//! counter (`"ph":"C"`) events; link health comes from
-//! `link.<src>-<dst>.health` gauges when present, otherwise it is
-//! derived from each link's `bandwidth_kbps` series (last sample vs the
-//! series maximum).
+//! Time series are the capture's `type:"series"` lines; link health
+//! comes from `link.<src>-<dst>.health` gauges when present, otherwise
+//! it is derived from each link's `bandwidth_kbps` series (last sample
+//! vs the series maximum).
 
+use crate::causal::{self, CausalDag};
 use crate::detect::HealthState;
-use crate::json::Value;
 use crate::snapshot::Snapshot;
 use crate::summary::Summary;
 use std::fmt::Write as _;
@@ -23,18 +21,6 @@ use std::fmt::Write as _;
 /// name only so a dump with hundreds of links stays openable.
 const MAX_CHARTS: usize = 24;
 
-/// Everything the dashboard shows, normalized across input formats.
-struct ReportData {
-    summary: Summary,
-    /// `(name, points)` in first-seen order.
-    series: Vec<(String, Vec<(f64, f64)>)>,
-    /// Gauges (JSONL dumps only; Chrome traces do not carry them).
-    gauges: Vec<(String, f64)>,
-    /// Realized transfers (spans with `src`/`dst` attrs), for the
-    /// critical-path lane view; empty when the dump has none.
-    transfers: Vec<crate::causal::Transfer>,
-}
-
 /// One row of the link-health matrix.
 struct LinkRow {
     src: usize,
@@ -42,74 +28,6 @@ struct LinkRow {
     state: HealthState,
     /// Most recent bandwidth sample, if a series carried one.
     bandwidth_kbps: Option<f64>,
-}
-
-/// Renders a self-contained HTML dashboard from exporter output
-/// (auto-detects JSONL vs Chrome `trace_event`).
-pub fn html_report(text: &str, title: &str) -> Result<String, String> {
-    let mut data = extract(text)?;
-    data.transfers = crate::causal::transfers_from_text(text).unwrap_or_default();
-    Ok(render(&data, title))
-}
-
-fn extract(text: &str) -> Result<ReportData, String> {
-    if text.trim_start().starts_with('{') {
-        if let Ok(doc) = Value::parse(text) {
-            if doc.get("traceEvents").is_some() {
-                return extract_chrome(&doc, text);
-            }
-        }
-    }
-    let snap = Snapshot::from_jsonl(text)?;
-    Ok(ReportData {
-        summary: Summary::from_snapshot(&snap),
-        series: snap
-            .series
-            .iter()
-            .map(|s| (s.name.clone(), s.points.clone()))
-            .collect(),
-        gauges: snap
-            .gauges
-            .iter()
-            .map(|g| (g.name.clone(), g.value))
-            .collect(),
-        transfers: Vec::new(),
-    })
-}
-
-fn extract_chrome(doc: &Value, text: &str) -> Result<ReportData, String> {
-    let summary = Summary::from_text(text)?;
-    let events = doc
-        .get("traceEvents")
-        .and_then(Value::as_arr)
-        .ok_or("missing \"traceEvents\" array")?;
-    let mut series: Vec<(String, Vec<(f64, f64)>)> = Vec::new();
-    for e in events {
-        if e.get("ph").and_then(Value::as_str) != Some("C") {
-            continue;
-        }
-        let name = e
-            .get("name")
-            .and_then(Value::as_str)
-            .unwrap_or("?")
-            .to_string();
-        let ts = e.get("ts").and_then(Value::as_f64).unwrap_or(0.0);
-        let value = e
-            .get("args")
-            .and_then(|a| a.get("value"))
-            .and_then(Value::as_f64)
-            .unwrap_or(0.0);
-        match series.iter_mut().find(|(n, _)| *n == name) {
-            Some((_, pts)) => pts.push((ts, value)),
-            None => series.push((name, vec![(ts, value)])),
-        }
-    }
-    Ok(ReportData {
-        summary,
-        series,
-        gauges: Vec::new(),
-        transfers: Vec::new(),
-    })
 }
 
 /// Splits `link.<src>-<dst>.<metric>` names; `None` for anything else.
@@ -136,12 +54,13 @@ fn upsert(rows: &mut Vec<LinkRow>, src: usize, dst: usize) -> &mut LinkRow {
     rows.last_mut().unwrap()
 }
 
-fn link_rows(data: &ReportData) -> Vec<LinkRow> {
+fn link_rows(snap: &Snapshot) -> Vec<LinkRow> {
     let mut rows: Vec<LinkRow> = Vec::new();
-    for (name, points) in &data.series {
-        let Some((src, dst, metric)) = parse_link_metric(name) else {
+    for series in &snap.series {
+        let Some((src, dst, metric)) = parse_link_metric(&series.name) else {
             continue;
         };
+        let points = &series.points;
         if metric != "bandwidth_kbps" || points.is_empty() {
             continue;
         }
@@ -160,12 +79,12 @@ fn link_rows(data: &ReportData) -> Vec<LinkRow> {
             HealthState::Healthy
         };
     }
-    for (name, value) in &data.gauges {
-        let Some((src, dst, metric)) = parse_link_metric(name) else {
+    for gauge in &snap.gauges {
+        let Some((src, dst, metric)) = parse_link_metric(&gauge.name) else {
             continue;
         };
         if metric == "health" {
-            upsert(&mut rows, src, dst).state = HealthState::from_code(*value as u8);
+            upsert(&mut rows, src, dst).state = HealthState::from_code(gauge.value as u8);
         }
     }
     rows.sort_by_key(|r| (r.src, r.dst));
@@ -254,13 +173,11 @@ fn svg_chart(points: &[(f64, f64)]) -> String {
 /// The critical-path lane view: one horizontal lane per sending
 /// processor, one rect per realized transfer, critical-path transfers
 /// highlighted. The time axis is normalized to the run's completion.
-fn svg_lanes(transfers: &[crate::causal::Transfer]) -> String {
-    use crate::causal::CausalDag;
+fn svg_lanes(dag: &CausalDag) -> String {
     const W: f64 = 960.0;
     const LANE_H: f64 = 16.0;
     const GUTTER: f64 = 34.0;
     const PAD: f64 = 4.0;
-    let dag = CausalDag::new(transfers.to_vec());
     let on_path: Vec<usize> = dag.critical_path().iter().map(|s| s.index).collect();
     let completion = dag.completion_ms().max(1e-9);
     let mut senders: Vec<usize> = dag.transfers().iter().map(|t| t.src).collect();
@@ -307,7 +224,10 @@ fn svg_lanes(transfers: &[crate::causal::Transfer]) -> String {
     out
 }
 
-fn render(data: &ReportData, title: &str) -> String {
+/// Renders a self-contained HTML dashboard from a parsed capture.
+pub fn html_report(snap: &Snapshot, title: &str) -> String {
+    let summary = Summary::from_snapshot(snap);
+    let transfers = causal::transfers(snap);
     let mut b = String::new();
     let _ = write!(
         b,
@@ -327,21 +247,21 @@ fn render(data: &ReportData, title: &str) -> String {
         title = esc(title)
     );
 
-    if !data.transfers.is_empty() {
-        let dag = crate::causal::CausalDag::new(data.transfers.clone());
+    if !transfers.is_empty() {
+        let dag = CausalDag::new(transfers);
         b.push_str("<h2>Critical path</h2>\n");
         let _ = writeln!(
             b,
             "<figure>{}<figcaption>{} transfer(s), completion {} ms; \
              the {} highlighted hop(s) form the critical path</figcaption></figure>",
-            svg_lanes(&data.transfers),
-            data.transfers.len(),
+            svg_lanes(&dag),
+            dag.transfers().len(),
             fmt_num(dag.completion_ms()),
             dag.critical_path().len()
         );
     }
 
-    let links = link_rows(data);
+    let links = link_rows(snap);
     if !links.is_empty() {
         b.push_str(
             "<h2>Link health</h2>\n<table>\n<tr><th class=\"name\">link</th>\
@@ -364,39 +284,39 @@ fn render(data: &ReportData, title: &str) -> String {
         b.push_str("</table>\n");
     }
 
-    if !data.series.is_empty() {
+    let series = &snap.series;
+    if !series.is_empty() {
         b.push_str("<h2>Time series</h2>\n");
-        for (name, points) in data.series.iter().take(MAX_CHARTS) {
+        for s in series.iter().take(MAX_CHARTS) {
             let _ = writeln!(
                 b,
                 "<figure>{}<figcaption>{} ({} points)</figcaption></figure>",
-                svg_chart(points),
-                esc(name),
-                points.len()
+                svg_chart(&s.points),
+                esc(&s.name),
+                s.points.len()
             );
         }
-        if data.series.len() > MAX_CHARTS {
+        if series.len() > MAX_CHARTS {
             let _ = writeln!(
                 b,
                 "<p class=\"muted\">… and {} more series: {}</p>",
-                data.series.len() - MAX_CHARTS,
-                esc(&data
-                    .series
+                series.len() - MAX_CHARTS,
+                esc(&series
                     .iter()
                     .skip(MAX_CHARTS)
-                    .map(|(n, _)| n.as_str())
+                    .map(|s| s.name.as_str())
                     .collect::<Vec<_>>()
                     .join(", "))
             );
         }
     }
 
-    if !data.summary.phases.is_empty() {
+    if !summary.phases.is_empty() {
         b.push_str(
             "<h2>Phases</h2>\n<table>\n<tr><th class=\"name\">phase</th><th>count</th>\
              <th>total ms</th><th>mean ms</th><th>p95 ms</th><th>min ms</th><th>max ms</th></tr>\n",
         );
-        for p in &data.summary.phases {
+        for p in &summary.phases {
             let _ = writeln!(
                 b,
                 "<tr><td class=\"name\">{}</td><td>{}</td><td>{:.3}</td>\
@@ -413,11 +333,11 @@ fn render(data: &ReportData, title: &str) -> String {
         b.push_str("</table>\n");
     }
 
-    if !data.summary.instants.is_empty() {
+    if !summary.instants.is_empty() {
         b.push_str(
             "<h2>Events</h2>\n<table>\n<tr><th class=\"name\">event</th><th>count</th></tr>\n",
         );
-        for (name, count) in &data.summary.instants {
+        for (name, count) in &summary.instants {
             let _ = writeln!(
                 b,
                 "<tr><td class=\"name\">{}</td><td>{count}</td></tr>",
@@ -427,11 +347,11 @@ fn render(data: &ReportData, title: &str) -> String {
         b.push_str("</table>\n");
     }
 
-    if !data.summary.counters.is_empty() {
+    if !summary.counters.is_empty() {
         b.push_str(
             "<h2>Counters</h2>\n<table>\n<tr><th class=\"name\">counter</th><th>value</th></tr>\n",
         );
-        for (name, value) in &data.summary.counters {
+        for (name, value) in &summary.counters {
             let _ = writeln!(
                 b,
                 "<tr><td class=\"name\">{}</td><td>{value}</td></tr>",
@@ -441,7 +361,7 @@ fn render(data: &ReportData, title: &str) -> String {
         b.push_str("</table>\n");
     }
 
-    if links.is_empty() && data.series.is_empty() && data.summary.phases.is_empty() {
+    if links.is_empty() && series.is_empty() && summary.phases.is_empty() {
         b.push_str("<p class=\"muted\">the dump carried no spans or series</p>\n");
     }
     b.push_str("</body>\n</html>\n");
@@ -472,7 +392,8 @@ mod tests {
 
     #[test]
     fn jsonl_report_is_self_contained_html() {
-        let html = html_report(&sample_registry().snapshot().to_jsonl(), "demo").unwrap();
+        let text = sample_registry().snapshot().to_jsonl();
+        let html = html_report(&Snapshot::from_jsonl(&text).unwrap(), "demo");
         assert!(html.starts_with("<!DOCTYPE html>"));
         assert!(html.ends_with("</html>\n"));
         assert!(html.contains("<svg"), "series must render as inline SVG");
@@ -487,16 +408,8 @@ mod tests {
     }
 
     #[test]
-    fn chrome_report_recovers_series_from_counter_events() {
-        let html = html_report(&sample_registry().snapshot().to_chrome_trace(), "demo").unwrap();
-        assert!(html.contains("link.1-2.bandwidth_kbps"));
-        assert!(html.contains("<svg"));
-        assert!(html.contains("schedule"));
-    }
-
-    #[test]
     fn health_matrix_derives_from_bandwidth_series() {
-        let html = html_report(&sample_registry().snapshot().to_jsonl(), "demo").unwrap();
+        let html = html_report(&sample_registry().snapshot(), "demo");
         assert!(html.contains("<tr class=\"healthy\"><td class=\"name\">0 &rarr; 1</td>"));
         assert!(html.contains("<tr class=\"degraded\"><td class=\"name\">1 &rarr; 2</td>"));
     }
@@ -506,7 +419,7 @@ mod tests {
         let reg = Registry::new();
         reg.series("link.0-1.bandwidth_kbps", 8).append(0.0, 500.0);
         reg.gauge_set("link.0-1.health", HealthState::Dead.code() as f64);
-        let html = html_report(&reg.snapshot().to_jsonl(), "demo").unwrap();
+        let html = html_report(&reg.snapshot(), "demo");
         assert!(html.contains("<tr class=\"dead\">"));
     }
 
@@ -515,7 +428,7 @@ mod tests {
         let reg = Registry::new();
         reg.series("s<\"&>'", 4).append(0.0, 1.0);
         reg.add("c<script>alert(1)</script>", 1);
-        let html = html_report(&reg.snapshot().to_jsonl(), "<&title>").unwrap();
+        let html = html_report(&reg.snapshot(), "<&title>");
         assert!(!html.contains("<script>"));
         assert!(html.contains("&lt;script&gt;"));
         assert!(html.contains("<title>&lt;&amp;title&gt;</title>"));
@@ -523,13 +436,8 @@ mod tests {
 
     #[test]
     fn empty_dump_still_renders() {
-        let html = html_report("", "empty").unwrap();
+        let html = html_report(&Snapshot::default(), "empty");
         assert!(html.contains("no spans or series"));
-    }
-
-    #[test]
-    fn garbage_input_errors() {
-        assert!(html_report("not json at all", "x").is_err());
     }
 
     #[test]
@@ -551,20 +459,20 @@ mod tests {
         reg.record_span(span(0, 1, 0, 10_000));
         reg.record_span(span(0, 2, 10_000, 5_000));
         reg.record_span(span(1, 3, 0, 4_000));
-        let html = html_report(&reg.snapshot().to_jsonl(), "lanes").unwrap();
+        let html = html_report(&reg.snapshot(), "lanes");
         assert!(html.contains("<h2>Critical path</h2>"));
         assert!(html.contains("lane-crit"), "path hops must be highlighted");
         assert!(html.contains("lane-span"), "off-path hops render too");
         assert!(html.contains("send 0") && html.contains("send 1"));
         assert!(html.contains("2 highlighted hop(s)"));
         // A dump without transfer spans has no lane section.
-        let plain = html_report(&sample_registry().snapshot().to_jsonl(), "x").unwrap();
+        let plain = html_report(&sample_registry().snapshot(), "x");
         assert!(!plain.contains("Critical path"));
     }
 
     #[test]
     fn phase_table_reports_mean_and_p95() {
-        let html = html_report(&sample_registry().snapshot().to_jsonl(), "demo").unwrap();
+        let html = html_report(&sample_registry().snapshot(), "demo");
         assert!(html.contains("<th>mean ms</th><th>p95 ms</th>"));
     }
 

@@ -6,14 +6,18 @@
 //!
 //! * **JSONL** ([`Snapshot::to_jsonl`]) — one self-describing JSON
 //!   object per line, machine-diffable, parsed back losslessly by
-//!   [`Snapshot::from_jsonl`] (the round-trip the runtime-trace bridge
-//!   tests lean on);
+//!   [`Snapshot::from_jsonl`]. This is the one capture format the
+//!   workspace reads back: `obs-summary`, `obs-diff`, `explain`,
+//!   `report` and `top --capture` all take a parsed [`Snapshot`];
 //! * **Prometheus text** ([`Snapshot::to_prometheus`]) — the standard
 //!   `# TYPE` + sample-line dump, names sanitized to `[a-z0-9_]`;
 //! * **Chrome `trace_event` JSON** ([`Snapshot::to_chrome_trace`]) —
 //!   loadable in `chrome://tracing` / Perfetto. Spans become balanced
 //!   `B`/`E` duration events on their thread track, instants become `i`
 //!   events.
+//!
+//! Prometheus and Chrome output are write-only: they feed scrapers and
+//! trace viewers, and nothing here parses them back.
 
 use crate::json::Value;
 use crate::trace::{self, TraceContext};
@@ -503,8 +507,7 @@ impl Snapshot {
             ]));
         }
         // Series points become Chrome counter ("C") events, so a trace
-        // viewer plots them as a track and `report` can recover the
-        // series from a Chrome dump (timestamps are carried verbatim —
+        // viewer plots them as a track (timestamps are carried verbatim —
         // series clocks are caller-defined, not necessarily µs).
         for s in &self.series {
             for &(ts, value) in &s.points {

@@ -1,72 +1,11 @@
 //! Per-phase rollups of a recorded trace, for `adaptcomm obs-summary`.
 //!
-//! A [`Summary`] is built from any exporter output — a Chrome
-//! `trace_event` document, a JSONL event stream, or a Prometheus text
-//! dump — and aggregates spans by name into [`PhaseTotal`] rows
-//! (count, total/min/max duration), alongside any counters and gauges
-//! the capture carried. [`Summary::from_named_text`] dispatches on the
-//! file extension and reports unknown ones as a typed
-//! [`SummaryError::UnknownFormat`] naming the supported set.
+//! A [`Summary`] is built from a parsed JSONL capture ([`Snapshot`]) and
+//! aggregates spans by name into [`PhaseTotal`] rows (count,
+//! total/min/max duration), alongside the counters and gauges the
+//! capture carried.
 
-use crate::json::Value;
 use crate::snapshot::Snapshot;
-
-/// The file extensions [`Summary::from_named_text`] understands.
-pub const SUPPORTED_EXTENSIONS: &[&str] = &[".json", ".jsonl", ".prom", ".txt"];
-
-/// Why a capture could not be summarized.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SummaryError {
-    /// The file extension names no exporter format.
-    UnknownFormat {
-        /// The offending extension (with its dot; empty when the name
-        /// had none).
-        extension: String,
-    },
-    /// The format was recognized but the content did not parse.
-    Parse(String),
-}
-
-impl std::fmt::Display for SummaryError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SummaryError::UnknownFormat { extension } => write!(
-                f,
-                "unsupported capture format {:?} (supported: {})",
-                extension,
-                SUPPORTED_EXTENSIONS.join(", ")
-            ),
-            SummaryError::Parse(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for SummaryError {}
-
-/// A non-fatal defect found while reading a capture. The summary is
-/// still produced; warnings tell the reader what it cannot include.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SummaryWarning {
-    /// A span began but its end event is missing (truncated capture);
-    /// the span is excluded from the per-phase totals.
-    UnclosedSpan {
-        /// Span name.
-        name: String,
-        /// Thread/track id it opened on.
-        tid: u64,
-    },
-}
-
-impl std::fmt::Display for SummaryWarning {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SummaryWarning::UnclosedSpan { name, tid } => write!(
-                f,
-                "span {name:?} on tid {tid} never closed (truncated capture?); excluded"
-            ),
-        }
-    }
-}
 
 /// Aggregated timing for one span name ("phase").
 #[derive(Debug, Clone, PartialEq)]
@@ -94,136 +33,19 @@ pub struct PhaseTotal {
 pub struct Summary {
     /// Per-phase totals, descending by total time.
     pub phases: Vec<PhaseTotal>,
-    /// Counters carried by the trace (JSONL and Prometheus),
-    /// name-ascending.
+    /// Counters carried by the trace, name-ascending.
     pub counters: Vec<(String, u64)>,
-    /// Gauges carried by the trace (JSONL and Prometheus),
-    /// name-ascending.
+    /// Gauges carried by the trace, name-ascending.
     pub gauges: Vec<(String, f64)>,
     /// Instant-event counts by name, name-ascending.
     pub instants: Vec<(String, u64)>,
-    /// Non-fatal defects found while reading the capture.
-    pub warnings: Vec<SummaryWarning>,
     /// Per-phase span durations retained during aggregation, drained by
     /// `finish()` into the percentile fields.
     durations: Vec<(String, Vec<f64>)>,
 }
 
 impl Summary {
-    /// Parses either exporter format: a Chrome `trace_event` JSON
-    /// document (starts with `{` and has a `traceEvents` array) or a
-    /// JSONL event stream.
-    pub fn from_text(text: &str) -> Result<Summary, String> {
-        let trimmed = text.trim_start();
-        if trimmed.starts_with('{') {
-            if let Ok(doc) = Value::parse(text) {
-                if doc.get("traceEvents").is_some() {
-                    return Self::from_chrome(&doc);
-                }
-            }
-        }
-        Ok(Self::from_snapshot(&Snapshot::from_jsonl(text)?))
-    }
-
-    /// Parses `text` according to `name`'s file extension: `.json` /
-    /// `.jsonl` via [`Summary::from_text`], `.prom` / `.txt` via
-    /// [`Summary::from_prometheus`]. Anything else is a typed
-    /// [`SummaryError::UnknownFormat`] listing the supported set.
-    pub fn from_named_text(name: &str, text: &str) -> Result<Summary, SummaryError> {
-        let base = name.rsplit(['/', '\\']).next().unwrap_or(name);
-        let extension = match base.rfind('.') {
-            Some(dot) => base[dot..].to_ascii_lowercase(),
-            None => String::new(),
-        };
-        match extension.as_str() {
-            ".json" | ".jsonl" => Self::from_text(text).map_err(SummaryError::Parse),
-            ".prom" | ".txt" => Self::from_prometheus(text).map_err(SummaryError::Parse),
-            _ => Err(SummaryError::UnknownFormat { extension }),
-        }
-    }
-
-    /// Rolls up a Prometheus text dump ([`Snapshot::to_prometheus`]
-    /// output): counters and gauges come back by their sanitized names;
-    /// a histogram contributes its `_count` as a counter and its `_sum`
-    /// as a gauge (bucket lines carry no per-span information to
-    /// recover). A Prometheus dump has no spans, so `phases` is empty.
-    pub fn from_prometheus(text: &str) -> Result<Summary, String> {
-        let mut summary = Summary::default();
-        let mut kinds: Vec<(String, String)> = Vec::new();
-        let kind_of = |kinds: &[(String, String)], name: &str| -> Option<String> {
-            kinds
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, k)| k.clone())
-        };
-        for (lineno, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            if let Some(rest) = line.strip_prefix('#') {
-                let mut words = rest.split_whitespace();
-                if words.next() == Some("TYPE") {
-                    if let (Some(name), Some(kind)) = (words.next(), words.next()) {
-                        kinds.push((name.to_string(), kind.to_string()));
-                    }
-                }
-                continue;
-            }
-            let (name_part, value_part) = line
-                .rsplit_once(char::is_whitespace)
-                .ok_or_else(|| format!("line {}: expected \"name value\"", lineno + 1))?;
-            let value: f64 = value_part
-                .parse()
-                .map_err(|_| format!("line {}: bad sample value {value_part:?}", lineno + 1))?;
-            let name = name_part
-                .split_once('{')
-                .map_or(name_part, |(n, _)| n)
-                .to_string();
-            // Histogram expansion lines roll up under the declared base
-            // name: keep `_count` (as a counter) and `_sum` (as a
-            // gauge), skip the cumulative buckets.
-            let base_of = |suffix: &str| {
-                name.strip_suffix(suffix)
-                    .filter(|base| kind_of(&kinds, base).as_deref() == Some("histogram"))
-                    .map(str::to_string)
-            };
-            if base_of("_bucket").is_some() {
-                continue;
-            }
-            if base_of("_count").is_some() {
-                summary.counters.push((name, value as u64));
-                continue;
-            }
-            if base_of("_sum").is_some() {
-                summary.gauges.push((name, value));
-                continue;
-            }
-            match kind_of(&kinds, &name).as_deref() {
-                Some("counter") => summary.counters.push((name, value as u64)),
-                Some("gauge") => summary.gauges.push((name, value)),
-                Some(other) => {
-                    return Err(format!(
-                        "line {}: unsupported sample type {other:?} for {name:?}",
-                        lineno + 1
-                    ))
-                }
-                // Lenient on undeclared samples, like real scrapers:
-                // integral values read as counters, the rest as gauges.
-                None => {
-                    if value >= 0.0 && value.fract() == 0.0 {
-                        summary.counters.push((name, value as u64));
-                    } else {
-                        summary.gauges.push((name, value));
-                    }
-                }
-            }
-        }
-        summary.finish();
-        Ok(summary)
-    }
-
-    /// Rolls up a parsed snapshot (the JSONL path).
+    /// Rolls up a parsed capture.
     pub fn from_snapshot(snap: &Snapshot) -> Summary {
         let mut summary = Summary::default();
         for span in snap.spans() {
@@ -244,61 +66,6 @@ impl Summary {
             .collect();
         summary.finish();
         summary
-    }
-
-    /// Rolls up a Chrome `trace_event` document by matching `B`/`E`
-    /// pairs per tid (also accepts complete `X` events with `dur`).
-    fn from_chrome(doc: &Value) -> Result<Summary, String> {
-        let events = doc
-            .get("traceEvents")
-            .and_then(Value::as_arr)
-            .ok_or("missing \"traceEvents\" array")?;
-        let mut summary = Summary::default();
-        // Open-span stack per tid; B pushes, E pops its innermost.
-        let mut open: Vec<(u64, String, f64)> = Vec::new();
-        for e in events {
-            let ph = e.get("ph").and_then(Value::as_str).unwrap_or("");
-            let tid = e.get("tid").and_then(Value::as_u64).unwrap_or(0);
-            let ts = e.get("ts").and_then(Value::as_f64).unwrap_or(0.0);
-            match ph {
-                "B" => {
-                    let name = e
-                        .get("name")
-                        .and_then(Value::as_str)
-                        .unwrap_or("?")
-                        .to_string();
-                    open.push((tid, name, ts));
-                }
-                "E" => {
-                    let idx = open
-                        .iter()
-                        .rposition(|(t, _, _)| *t == tid)
-                        .ok_or_else(|| format!("unbalanced \"E\" on tid {tid}"))?;
-                    let (_, name, start) = open.remove(idx);
-                    summary.add_span(&name, (ts - start) / 1_000.0);
-                }
-                "X" => {
-                    let name = e.get("name").and_then(Value::as_str).unwrap_or("?");
-                    let dur = e.get("dur").and_then(Value::as_f64).unwrap_or(0.0);
-                    summary.add_span(name, dur / 1_000.0);
-                }
-                "i" | "I" => {
-                    summary.add_instant(e.get("name").and_then(Value::as_str).unwrap_or("?"));
-                }
-                _ => {}
-            }
-        }
-        // Spans still open at end-of-capture mean the capture was
-        // truncated mid-run: tolerate them (their durations are
-        // unknowable) and tell the reader what was excluded.
-        for (tid, name, _) in open {
-            summary.warnings.push(SummaryWarning::UnclosedSpan {
-                name: name.clone(),
-                tid,
-            });
-        }
-        summary.finish();
-        Ok(summary)
     }
 
     fn add_span(&mut self, name: &str, dur_ms: f64) {
@@ -380,9 +147,6 @@ impl Summary {
                 );
             }
         }
-        for w in &self.warnings {
-            let _ = writeln!(out, "warning: {w}");
-        }
         if !self.instants.is_empty() {
             out.push('\n');
             let _ = writeln!(out, "instants:");
@@ -425,9 +189,9 @@ mod tests {
     }
 
     #[test]
-    fn summarizes_jsonl() {
+    fn summarizes_a_jsonl_capture() {
         let text = sample_registry().snapshot().to_jsonl();
-        let summary = Summary::from_text(&text).unwrap();
+        let summary = Summary::from_snapshot(&Snapshot::from_jsonl(&text).unwrap());
         let transfer = summary
             .phases
             .iter()
@@ -439,59 +203,6 @@ mod tests {
         let rendered = summary.render();
         assert!(rendered.contains("transfer"));
         assert!(rendered.contains("sched.rounds: 4"));
-    }
-
-    #[test]
-    fn summarizes_chrome_trace() {
-        let text = sample_registry().snapshot().to_chrome_trace();
-        let summary = Summary::from_text(&text).unwrap();
-        let transfer = summary
-            .phases
-            .iter()
-            .find(|p| p.name == "transfer")
-            .unwrap();
-        assert_eq!(transfer.count, 3);
-        assert!(summary.phases.iter().any(|p| p.name == "schedule"));
-        assert_eq!(summary.instants, vec![("replan".to_string(), 1)]);
-    }
-
-    #[test]
-    fn chrome_and_jsonl_agree_on_counts() {
-        let snap = sample_registry().snapshot();
-        let a = Summary::from_text(&snap.to_jsonl()).unwrap();
-        let b = Summary::from_text(&snap.to_chrome_trace()).unwrap();
-        let counts = |s: &Summary| {
-            let mut v: Vec<(String, u64)> =
-                s.phases.iter().map(|p| (p.name.clone(), p.count)).collect();
-            v.sort();
-            v
-        };
-        assert_eq!(counts(&a), counts(&b));
-    }
-
-    #[test]
-    fn truncated_chrome_trace_warns_instead_of_failing() {
-        let text = r#"{"traceEvents":[
-            {"name":"a","ph":"B","ts":0,"pid":1,"tid":1},
-            {"ph":"E","ts":50,"pid":1,"tid":1},
-            {"name":"b","ph":"B","ts":60,"pid":1,"tid":1}]}"#;
-        let summary = Summary::from_text(text).unwrap();
-        // The closed span still aggregates; the truncated one is a
-        // typed warning, not a silent drop or a hard error.
-        assert_eq!(summary.phases.len(), 1);
-        assert_eq!(summary.phases[0].name, "a");
-        assert_eq!(
-            summary.warnings,
-            vec![SummaryWarning::UnclosedSpan {
-                name: "b".into(),
-                tid: 1
-            }]
-        );
-        let rendered = summary.render();
-        assert!(rendered.contains("never closed"), "{rendered}");
-        // A genuinely malformed trace (E with no B) still errors.
-        let bad = r#"{"traceEvents":[{"ph":"E","ts":5,"pid":1,"tid":9}]}"#;
-        assert!(Summary::from_text(bad).is_err());
     }
 
     #[test]
@@ -531,60 +242,8 @@ mod tests {
 
     #[test]
     fn empty_inputs_render() {
-        let summary = Summary::from_text("").unwrap();
+        let summary = Summary::from_snapshot(&Snapshot::default());
         assert!(summary.phases.is_empty());
         assert_eq!(summary.render(), "no spans recorded\n");
-    }
-
-    #[test]
-    fn summarizes_prometheus_dump() {
-        let reg = sample_registry();
-        reg.gauge_set("queue.depth", 2.5);
-        reg.observe("latency.ms", &[1.0, 10.0], 3.0);
-        let text = reg.snapshot().to_prometheus();
-        let summary = Summary::from_named_text("metrics.prom", &text).unwrap();
-        assert!(summary.phases.is_empty());
-        assert!(summary.counters.contains(&("sched_rounds".to_string(), 4)));
-        assert!(summary.gauges.contains(&("queue_depth".to_string(), 2.5)));
-        // The histogram rolls up as its _count counter + _sum gauge.
-        assert!(summary
-            .counters
-            .contains(&("latency_ms_count".to_string(), 1)));
-        assert!(summary
-            .gauges
-            .contains(&("latency_ms_sum".to_string(), 3.0)));
-        let rendered = summary.render();
-        assert!(rendered.contains("sched_rounds: 4"));
-        assert!(rendered.contains("queue_depth: 2.5"));
-    }
-
-    #[test]
-    fn unknown_extensions_get_a_typed_error() {
-        let err = Summary::from_named_text("dump.csv", "a,b\n").unwrap_err();
-        assert_eq!(
-            err,
-            SummaryError::UnknownFormat {
-                extension: ".csv".into()
-            }
-        );
-        let msg = err.to_string();
-        for ext in SUPPORTED_EXTENSIONS {
-            assert!(msg.contains(ext), "{msg} should name {ext}");
-        }
-        assert!(matches!(
-            Summary::from_named_text("noextension", ""),
-            Err(SummaryError::UnknownFormat { extension }) if extension.is_empty()
-        ));
-        // Recognized extensions still surface parse failures as Parse.
-        assert!(matches!(
-            Summary::from_named_text("x.jsonl", "{\"type\":\"nope\"}"),
-            Err(SummaryError::Parse(_))
-        ));
-    }
-
-    #[test]
-    fn prometheus_rejects_malformed_samples() {
-        assert!(Summary::from_prometheus("name_only\n").is_err());
-        assert!(Summary::from_prometheus("metric not_a_number\n").is_err());
     }
 }

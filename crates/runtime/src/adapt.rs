@@ -662,7 +662,7 @@ impl<'a> CheckpointedRun<'a> {
         let mut planned = self.plan_finishes(lists, Millis::ZERO)?;
         let planned_makespan = Millis::new(planned.last().copied().unwrap_or(0.0));
         let mut report = AdaptReport {
-            trace: RunTrace::new(),
+            trace: RunTrace::default(),
             records: Vec::new(),
             makespan: Millis::ZERO,
             planned_makespan,
