@@ -1,8 +1,6 @@
-//! Substrate throughput: data staging and task mapping at scale.
+//! Substrate throughput: data staging at scale.
 
-use adaptcomm_mapping::{etc, map_tasks, schedule_dag, HeterogeneityClass, Heuristic, TaskGraph};
 use adaptcomm_model::cost::LinkEstimate;
-use adaptcomm_model::params::NetParams;
 use adaptcomm_model::units::{Bandwidth, Bytes, Millis};
 use adaptcomm_staging::{schedule_staging, DataItem, LinkGraph, NodeId, Request, StagingProblem};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -43,19 +41,6 @@ fn staging_instance(nodes: usize, requests: usize) -> (LinkGraph, StagingProblem
     (g, p)
 }
 
-fn random_layered_dag(tasks: usize, width: usize) -> TaskGraph {
-    let mut g = TaskGraph::new(tasks);
-    for v in width..tasks {
-        // Each task depends on 1-2 tasks from the previous layer.
-        let layer_start = (v / width - 1) * width;
-        g.add_edge(layer_start + v % width, v, Bytes::from_kb(64));
-        if v % 2 == 0 {
-            g.add_edge(layer_start + (v + 1) % width, v, Bytes::from_kb(16));
-        }
-    }
-    g
-}
-
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("substrates");
     group.sample_size(10);
@@ -70,28 +55,6 @@ fn bench(c: &mut Criterion) {
                     black_box(schedule_staging(&mut g, &p).satisfied())
                 })
             },
-        );
-    }
-
-    for tasks in [64usize, 512] {
-        let e = etc::generate(tasks, 16, HeterogeneityClass::Inconsistent, 20.0, 8.0, 5);
-        for h in [Heuristic::Mct, Heuristic::MinMin, Heuristic::Sufferage] {
-            group.bench_with_input(
-                BenchmarkId::new(format!("mapping/{}", h.name()), tasks),
-                &e,
-                |b, e| b.iter(|| black_box(map_tasks(black_box(e), h).makespan)),
-            );
-        }
-    }
-
-    let net = NetParams::uniform(8, Millis::new(5.0), Bandwidth::from_kbps(10_000.0));
-    for tasks in [64usize, 256] {
-        let g = random_layered_dag(tasks, 8);
-        let e = etc::generate(tasks, 8, HeterogeneityClass::Inconsistent, 15.0, 6.0, 9);
-        group.bench_with_input(
-            BenchmarkId::new("dag_schedule", tasks),
-            &(g, e),
-            |b, (g, e)| b.iter(|| black_box(schedule_dag(black_box(g), e, &net).makespan)),
         );
     }
 

@@ -26,6 +26,26 @@ use adaptcomm_model::generator::GeneratorConfig;
 use adaptcomm_workloads::Scenario;
 use std::time::Instant;
 
+/// The selection flags, without their leading `--`.
+const SELECTIONS: &[&str] = &[
+    "table1",
+    "table2",
+    "fig9",
+    "fig10",
+    "fig11",
+    "fig12",
+    "fig12wide",
+    "thm2",
+    "thm3",
+    "summary",
+    "adaptivity",
+    "refine",
+    "incremental",
+    "staging",
+    "fluid",
+    "barrier",
+];
+
 struct Options {
     quick: bool,
     csv: bool,
@@ -56,11 +76,16 @@ fn parse_args() -> Options {
                 opts.threads = Some(n);
             }
             "--all" => {}
-            other if other.starts_with("--") => opts.selected.push(other[2..].to_string()),
-            other => {
-                eprintln!("unrecognized argument: {other}");
-                std::process::exit(2);
-            }
+            other => match other.strip_prefix("--") {
+                Some(name) if SELECTIONS.contains(&name) => opts.selected.push(name.to_string()),
+                _ => {
+                    eprintln!(
+                        "unrecognized argument: {other} (selections: --{})",
+                        SELECTIONS.join(", --")
+                    );
+                    std::process::exit(2);
+                }
+            },
         }
     }
     opts

@@ -109,172 +109,239 @@ fn read_capture(path: &str) -> Result<adaptcomm_obs::Snapshot, CaptureError> {
     })
 }
 
-const HELP: &str = "\
-adaptcomm — adaptive communication scheduling (HPDC 1998)
+use args::{switch, value, Command, Flag};
+
+const OBS: Flag = value("obs", "<path>");
+const P: Flag = value("p", "<N>");
+const SEED: Flag = value("seed", "<u64>");
+const N: Flag = value("n", "<dim>");
+const MATRIX: Flag = value("matrix", "<file.csv>");
+const ALGORITHM: Flag = value("algorithm", "<name>");
+const THREADS: Flag = value("threads", "<N>");
+const METRICS_PORT: Flag = value("metrics-port", "<port>");
+
+/// Every subcommand, in help order. The one source of the help text, of
+/// the flags each command accepts and of the keys its handler reads.
+#[rustfmt::skip]
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "gusto",
+        about: "Print the GUSTO latency/bandwidth tables (paper Tables 1-2).",
+        flags: &[],
+    },
+    Command {
+        name: "generate",
+        about: "Emit a communication-cost matrix (CSV, ms) for a paper scenario \
+                over a random GUSTO-guided network.",
+        flags: &[value("scenario", "<fig9|fig10|fig11|fig12|transpose>"), P, SEED, N],
+    },
+    Command {
+        name: "schedule",
+        about: "Schedule a total exchange. Algorithms: baseline, matching-max, \
+                matching-min, greedy, openshop (default).",
+        flags: &[
+            MATRIX, ALGORITHM, switch("diagram"), value("svg", "<out.svg>"),
+            value("json", "<out.json>"), switch("events"),
+        ],
+    },
+    Command {
+        name: "compare",
+        about: "Run every algorithm and print the comparison table. --threads \
+                (default 1) parallelizes the matching LAP solves; plans are \
+                bit-identical at any thread count. The `construction` column \
+                reports how each plan was produced (cold / warm / incremental / \
+                hit, `-` for stateless schedulers).",
+        flags: &[MATRIX, THREADS, OBS],
+    },
+    Command {
+        name: "sweep",
+        about: "Evaluate every algorithm over the (scenario x P x trial) grid on \
+                the parallel sweep engine and print lb-ratio statistics. Seeds are \
+                derived from grid coordinates, so any --threads value produces the \
+                same numbers. --threads 0 (default) uses all cores; 1 is serial.",
+        flags: &[
+            value("scenario", "<all|fig9|fig10|fig11|fig12>"), value("pmin", "<N>"),
+            value("pmax", "<N>"), value("pstep", "<N>"), value("trials", "<N>"), THREADS, OBS,
+        ],
+    },
+    Command {
+        name: "run",
+        about: "Execute a total exchange live: one OS thread per processor moving \
+                real bytes through the chosen transport under the paper's port \
+                model. --adapt attaches the measure -> schedule -> execute -> \
+                adapt loop (probe, publish to the directory, replan at \
+                checkpoints). --trigger picks the replan decision: `deviation` \
+                (progress slips past --threshold) or `detector` (per-link CUSUM \
+                change detection). --replanner picks the replan algorithm \
+                (default matching-max, which retains its plan across checkpoints \
+                and serves repeat replans via the paper's §6 incremental \
+                rescheduling); --threads parallelizes its LAP solves. --drift \
+                scales a few links' bandwidth by <factor> at --drift-at modeled \
+                ms to provoke adaptation. --status publishes a live JSON status \
+                file at every checkpoint for `adaptcomm top` to poll. --trace \
+                dumps the per-event wall/modeled timeline.",
+        flags: &[
+            value("backend", "<channel|tcp>"), P, value("scenario", "<name>"), SEED, ALGORITHM,
+            switch("adapt"), value("drift", "<factor>"), value("drift-at", "<ms>"),
+            value("threshold", "<frac>"), value("trigger", "<deviation|detector>"),
+            value("replanner", "<openshop|matching-max|matching-min>"), THREADS,
+            value("status", "<path>"), value("pace", "<us-per-ms>"), switch("trace"), OBS,
+            METRICS_PORT,
+        ],
+    },
+    Command {
+        name: "chaos",
+        about: "Inject faults into a live total exchange and grade the recovery. \
+                --scenario names a generated fault class (seeded from --seed and \
+                scaled to the workload's fault-free makespan) or gives an explicit \
+                plan spec: `;`-separated `crash:PROC@AT..RESTART`, \
+                `partition:N,N,..@AT..HEAL`, `liar:SRC-DST@FROMxFACTOR` with times \
+                in modeled ms (e.g. 'crash:2@120..400;liar:1-3@50x4'). Prints the \
+                per-fault recovery report, the quarantine roster, the \
+                recovery-time histogram, and a final `SLO:` verdict line; exits \
+                nonzero when the SLO is blown or a message was lost or duplicated. \
+                On an SLO breach the always-on flight recorder dumps its recent \
+                event window (injected faults, runtime fault/heal notes) to \
+                --flight (default chaos-flight.jsonl) for post-mortem replay \
+                through obs-summary.",
+        flags: &[
+            value("scenario", "<crash|partition|liar|mixed|spec>"), P, SEED,
+            value("workload", "<name>"), OBS, value("flight", "<path>"),
+        ],
+    },
+    Command {
+        name: "top",
+        about: "Watch a running `run --adapt --status <path>` live in the \
+                terminal: progress, replan events, grant-queue depth, and \
+                per-link health with sparkline bandwidth history. Refreshes every \
+                --interval ms (default 250) until the run reports `done`; --once \
+                renders a single frame and exits (non-interactive / CI). \
+                --capture points at a JSONL capture of the run; each frame then \
+                ends with a `slowest link` blame line from the explain-plane \
+                analyzer.",
+        flags: &[
+            value("input", "<status.json>"), value("interval", "<ms>"), value("frames", "<N>"),
+            switch("once"), value("capture", "<obs.jsonl>"),
+        ],
+    },
+    Command {
+        name: "report",
+        about: "Render a JSONL capture as a self-contained HTML dashboard: inline \
+                SVG time-series charts, per-phase span table, and a link-health \
+                matrix. No external assets — the file opens anywhere.",
+        flags: &[
+            value("input", "<capture.jsonl>"), value("html", "<out.html>"),
+            value("title", "<text>"),
+        ],
+    },
+    Command {
+        name: "obs-summary",
+        about: "Summarize a JSONL capture (an --obs <path>.jsonl dump or a \
+                flight-recorder dump): per-phase span totals, instants, counters, \
+                gauges. Anything that is not JSONL is an error naming the file.",
+        flags: &[value("input", "<capture.jsonl>")],
+    },
+    Command {
+        name: "explain",
+        about: "Explain where a run's completion time comes from. Builds the \
+                blocking-dependency DAG of the run — from a JSONL capture with \
+                transfer spans, a matrix scheduled with --algorithm (default \
+                openshop), or a generated scenario — and prints the critical path, \
+                the per-link/per-processor blame table, a slack histogram, and a \
+                COZ-style what-if table: the top --top (default 5) links ranked by \
+                how much speeding each one --k x (default 2) would move the \
+                completion, with realized port orders held fixed (no \
+                re-simulation). --capture writes the analyzed transfers back out \
+                as a deterministic JSONL capture (bit-identical across runs; feed \
+                it to obs-diff or report).",
+        flags: &[
+            value("input", "<capture.jsonl>"), MATRIX, value("scenario", "<name>"), P, SEED, N,
+            ALGORITHM, value("k", "<speedup>"), value("top", "<N>"),
+            value("capture", "<out.jsonl>"),
+        ],
+    },
+    Command {
+        name: "obs-diff",
+        about: "Diff two JSONL captures. Spans are aligned per (phase, track) in \
+                start order and summed over aligned pairs, so truncation skews \
+                counts, not totals; transfer spans also aggregate per link. Prints \
+                per-phase and per-link deltas plus the worst regression line. With \
+                --fail-over, exits nonzero when the worst regression exceeds <pct> \
+                percent — wire it under perfgate to say *where* a regression \
+                lives, not just that one exists.",
+        flags: &[
+            value("base", "<capture.jsonl>"), value("head", "<capture.jsonl>"),
+            value("fail-over", "<pct>"),
+        ],
+    },
+    Command {
+        name: "obs-merge",
+        about: "Merge per-process JSONL captures into one Chrome trace, one \
+                process lane per input (labeled by file stem). Spans that carry \
+                the same propagated trace id — e.g. a plan-client request and the \
+                server-side admission/worker/solve spans it fanned into — line up \
+                as one cross-process request tree in Perfetto.",
+        flags: &[value("out", "<trace.json>"), value("inputs", "<a.jsonl,b.jsonl,..>")],
+    },
+    Command {
+        name: "plan-server",
+        about: "Run the multi-tenant scheduling service: a TCP plan server with a \
+                fingerprint-keyed plan cache (exact hits replay plans; near hits \
+                are re-solved incrementally from the cached plan, or warm-start \
+                the LAP solver when no plan was retained; --threads parallelizes \
+                the matching solves) and QoS admission control (priority tiers, \
+                EDF, deadline rejection). --addr defaults to an ephemeral \
+                loopback port, printed on startup. Runs until a client sends the \
+                shutdown frame (`plan-client --shutdown`); prints cache and \
+                per-tenant directory statistics on exit. --pace-ms stretches \
+                every cold/warm solve for deterministic queueing demos. \
+                --metrics-port serves a live scrape surface on 127.0.0.1: GET \
+                /metrics (Prometheus text), /healthz, and /tenants (per-tenant \
+                JSON: requests, cache dispositions, deadline-hit ratio, rejects, \
+                latency digest). A streak of deadline rejections auto-dumps the \
+                flight recorder into --flight-dir (default: working directory).",
+        flags: &[
+            value("addr", "<host:port>"), value("workers", "<N>"), value("shards", "<N>"),
+            value("cache", "<entries>"), value("near-tolerance", "<frac>"), THREADS,
+            value("pace-ms", "<ms>"), OBS, METRICS_PORT, value("flight-dir", "<dir>"),
+        ],
+    },
+    Command {
+        name: "plan-client",
+        about: "Request plans from a running plan server. Prints one `cache: ..` \
+                line per response (cold / hit / warm / incremental) with epoch, \
+                serving sequence, completion estimate and solver counters. --probe \
+                sends a fingerprint-only request (no P^2 matrix on the wire); \
+                --repeat re-sends the same request to exercise the cache; \
+                --shutdown asks the server to drain and stop after the requests. \
+                --critical pins the listed src-dst links to the front of their \
+                senders' orders. Every request carries a deterministic trace \
+                context; --obs captures the client-side spans so `obs-merge` can \
+                stitch them with the server's capture into one cross-process \
+                trace.",
+        flags: &[
+            value("addr", "<host:port>"), MATRIX, value("scenario", "<name>"), P, SEED, N,
+            ALGORITHM, value("tenant", "<name>"), value("deadline", "<ms>"),
+            value("priority", "<0-255>"), value("critical", "<s-d,s-d,..>"), value("repeat", "<N>"),
+            switch("probe"), switch("shutdown"), OBS,
+        ],
+    },
+    Command {
+        name: "help",
+        about: "This text.",
+        flags: &[],
+    },
+];
+
+/// The full help: every command's section between a header and the
+/// note on `--obs`.
+fn help_text() -> String {
+    let sections: Vec<String> = COMMANDS.iter().map(Command::help).collect();
+    format!(
+        "adaptcomm — adaptive communication scheduling (HPDC 1998)
 
 USAGE:
-  adaptcomm gusto
-      Print the GUSTO latency/bandwidth tables (paper Tables 1-2).
-
-  adaptcomm generate --scenario <fig9|fig10|fig11|fig12|transpose> --p <N>
-                     [--seed <u64>] [--n <dim>]
-      Emit a communication-cost matrix (CSV, ms) for a paper scenario
-      over a random GUSTO-guided network.
-
-  adaptcomm schedule --matrix <file.csv> [--algorithm <name>]
-                     [--diagram] [--svg <out.svg>] [--json <out.json>] [--events]
-      Schedule a total exchange. Algorithms: baseline, matching-max,
-      matching-min, greedy, openshop (default).
-
-  adaptcomm compare --matrix <file.csv> [--threads <N>] [--obs <path>]
-      Run every algorithm and print the comparison table. --threads
-      (default 1) parallelizes the matching LAP solves; plans are
-      bit-identical at any thread count. The `construction` column
-      reports how each plan was produced (cold / warm / incremental /
-      hit, `-` for stateless schedulers).
-
-  adaptcomm sweep [--scenario <all|fig9|fig10|fig11|fig12>] [--pmin <N>]
-                  [--pmax <N>] [--pstep <N>] [--trials <N>] [--threads <N>]
-                  [--obs <path>]
-      Evaluate every algorithm over the (scenario x P x trial) grid on
-      the parallel sweep engine and print lb-ratio statistics. Seeds are
-      derived from grid coordinates, so any --threads value produces the
-      same numbers. --threads 0 (default) uses all cores; 1 is serial.
-
-  adaptcomm run [--backend <channel|tcp>] [--p <N>] [--scenario <name>]
-                [--seed <u64>] [--algorithm <name>] [--adapt]
-                [--drift <factor>] [--drift-at <ms>] [--threshold <frac>]
-                [--trigger <deviation|detector>]
-                [--replanner <openshop|matching-max|matching-min>]
-                [--threads <N>] [--status <path>]
-                [--pace <us-per-ms>] [--trace] [--obs <path>]
-                [--metrics-port <port>]
-      Execute a total exchange live: one OS thread per processor moving
-      real bytes through the chosen transport under the paper's port
-      model. --adapt attaches the measure -> schedule -> execute ->
-      adapt loop (probe, publish to the directory, replan at
-      checkpoints). --trigger picks the replan decision: `deviation`
-      (progress slips past --threshold) or `detector` (per-link CUSUM
-      change detection). --replanner picks the replan algorithm
-      (default matching-max, which retains its plan across checkpoints
-      and serves repeat replans via the paper's §6 incremental
-      rescheduling); --threads parallelizes its LAP solves. --drift
-      scales a few links' bandwidth by <factor> at --drift-at modeled
-      ms to provoke adaptation. --status publishes a live JSON status
-      file at every checkpoint for `adaptcomm top` to poll. --trace
-      dumps the per-event wall/modeled timeline.
-
-  adaptcomm chaos [--scenario <crash|partition|liar|mixed|spec>] [--p <N>]
-                  [--seed <u64>] [--workload <name>] [--obs <path>]
-                  [--flight <path>]
-      Inject faults into a live total exchange and grade the recovery.
-      --scenario names a generated fault class (seeded from --seed and
-      scaled to the workload's fault-free makespan) or gives an explicit
-      plan spec: `;`-separated `crash:PROC@AT..RESTART`,
-      `partition:N,N,..@AT..HEAL`, `liar:SRC-DST@FROMxFACTOR` with times
-      in modeled ms (e.g. 'crash:2@120..400;liar:1-3@50x4'). Prints the
-      per-fault recovery report, the quarantine roster, the
-      recovery-time histogram, and a final `SLO:` verdict line; exits
-      nonzero when the SLO is blown or a message was lost or duplicated.
-      On an SLO breach the always-on flight recorder dumps its recent
-      event window (injected faults, runtime fault/heal notes) to
-      --flight (default chaos-flight.jsonl) for post-mortem replay
-      through obs-summary.
-
-  adaptcomm top --input <status.json> [--interval <ms>] [--frames <N>]
-                [--once] [--capture <obs.jsonl>]
-      Watch a running `run --adapt --status <path>` live in the
-      terminal: progress, replan events, grant-queue depth, and
-      per-link health with sparkline bandwidth history. Refreshes every
-      --interval ms (default 250) until the run reports `done`; --once
-      renders a single frame and exits (non-interactive / CI).
-      --capture points at a JSONL capture of the run; each frame then
-      ends with a `slowest link` blame line from the explain-plane
-      analyzer.
-
-  adaptcomm report --input <capture.jsonl> --html <out.html> [--title <text>]
-      Render a JSONL capture as a self-contained HTML dashboard: inline
-      SVG time-series charts, per-phase span table, and a link-health
-      matrix. No external assets — the file opens anywhere.
-
-  adaptcomm obs-summary --input <capture.jsonl>
-      Summarize a JSONL capture (an --obs <path>.jsonl dump or a
-      flight-recorder dump): per-phase span totals, instants, counters,
-      gauges. Anything that is not JSONL is an error naming the file.
-
-  adaptcomm explain (--input <capture.jsonl> | --matrix <file.csv> |
-                     --scenario <name> --p <N>) [--seed <u64>] [--n <dim>]
-                     [--algorithm <name>] [--k <speedup>] [--top <N>]
-                     [--capture <out.jsonl>]
-      Explain where a run's completion time comes from. Builds the
-      blocking-dependency DAG of the run — from a JSONL capture with
-      transfer spans, a matrix scheduled
-      with --algorithm (default openshop), or a generated scenario —
-      and prints the critical path, the per-link/per-processor blame
-      table, a slack histogram, and a COZ-style what-if table: the
-      top --top (default 5) links ranked by how much speeding each one
-      --k x (default 2) would move the completion, with realized port
-      orders held fixed (no re-simulation). --capture writes the
-      analyzed transfers back out as a deterministic JSONL capture
-      (bit-identical across runs; feed it to obs-diff or report).
-
-  adaptcomm obs-diff --base <capture.jsonl> --head <capture.jsonl>
-                     [--fail-over <pct>]
-      Diff two JSONL captures. Spans are aligned per (phase, track) in start
-      order and summed over aligned pairs, so truncation skews counts,
-      not totals; transfer spans also aggregate per link. Prints
-      per-phase and per-link deltas plus the worst regression line.
-      With --fail-over, exits nonzero when the worst regression
-      exceeds <pct> percent — wire it under perfgate to say *where* a
-      regression lives, not just that one exists.
-
-  adaptcomm obs-merge --out <trace.json> --inputs <a.jsonl,b.jsonl,..>
-      Merge per-process JSONL captures into one Chrome trace, one
-      process lane per input (labeled by file stem). Spans that carry
-      the same propagated trace id — e.g. a plan-client request and the
-      server-side admission/worker/solve spans it fanned into — line up
-      as one cross-process request tree in Perfetto.
-
-  adaptcomm plan-server [--addr <host:port>] [--workers <N>] [--shards <N>]
-                        [--cache <entries>] [--near-tolerance <frac>]
-                        [--threads <N>] [--pace-ms <ms>] [--obs <path>]
-                        [--metrics-port <port>] [--flight-dir <dir>]
-      Run the multi-tenant scheduling service: a TCP plan server with a
-      fingerprint-keyed plan cache (exact hits replay plans; near hits
-      are re-solved incrementally from the cached plan, or warm-start
-      the LAP solver when no plan was retained; --threads parallelizes
-      the matching solves) and QoS admission control
-      (priority tiers, EDF, deadline rejection). --addr defaults to an
-      ephemeral loopback port, printed on startup. Runs until a client
-      sends the shutdown frame (`plan-client --shutdown`); prints cache
-      and per-tenant directory statistics on exit. --pace-ms stretches
-      every cold/warm solve for deterministic queueing demos.
-      --metrics-port serves a live scrape surface on 127.0.0.1:
-      GET /metrics (Prometheus text), /healthz, and /tenants (per-tenant
-      JSON: requests, cache dispositions, deadline-hit ratio, rejects,
-      latency digest). A streak of deadline rejections auto-dumps the
-      flight recorder into --flight-dir (default: working directory).
-
-  adaptcomm plan-client --addr <host:port>
-                        (--matrix <file.csv> | --scenario <name> --p <N>)
-                        [--seed <u64>] [--algorithm <name>] [--tenant <name>]
-                        [--deadline <ms>] [--priority <0-255>]
-                        [--critical <s-d,s-d,..>] [--repeat <N>]
-                        [--probe] [--shutdown] [--obs <path>]
-      Request plans from a running plan server. Prints one `cache: ..`
-      line per response (cold / hit / warm / incremental) with epoch, serving
-      sequence, completion estimate and solver counters. --probe sends
-      a fingerprint-only request (no P^2 matrix on the wire); --repeat
-      re-sends the same request to exercise the cache; --shutdown asks
-      the server to drain and stop after the requests. --critical pins
-      the listed src-dst links to the front of their senders' orders.
-      Every request carries a deterministic trace context; --obs captures
-      the client-side spans so `obs-merge` can stitch them with the
-      server's capture into one cross-process trace.
-
-  adaptcomm help
-      This text.
-
+{}
 The --obs <path> option (run, compare, sweep, chaos, plan-server,
 plan-client) enables the in-process observability registry for the
 duration of the command and writes the collected metrics when it
@@ -284,25 +351,33 @@ anything else -> Chrome trace_event JSON (load in Perfetto /
 chrome://tracing). Only the JSONL stream is read back: obs-summary,
 obs-diff, explain --input, report and top --capture take JSONL;
 Prometheus and Chrome output are write-only.
-";
+",
+        sections.join("\n")
+    )
+}
 
 fn run() -> Result<(), String> {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let Some(command) = argv.first() else {
-        out!("{HELP}");
-        return Ok(());
+    // A leading `--help` stays in the list, so it wins over what follows.
+    let (name, rest) = match argv.first().map(String::as_str) {
+        None | Some("--help" | "-h") => ("help", &argv[..]),
+        Some(name) => (name, &argv[1..]),
     };
-    let opts = args::Options::parse(&argv[1..])?;
+    let command = COMMANDS
+        .iter()
+        .find(|c| c.name == name)
+        .ok_or_else(|| format!("unknown command `{name}`"))?;
+    let opts = args::Options::parse(command, rest)?;
+    if name == "help" {
+        out!("{}", help_text());
+        return Ok(());
+    }
     if opts.flag("help") {
-        out!("{HELP}");
+        out!("USAGE:\n{}", command.help());
         return Ok(());
     }
 
-    match command.as_str() {
-        "help" | "--help" | "-h" => {
-            out!("{HELP}");
-            Ok(())
-        }
+    match name {
         "gusto" => {
             print_gusto();
             Ok(())
@@ -321,7 +396,7 @@ fn run() -> Result<(), String> {
         "obs-merge" => obs_merge(&opts),
         "plan-server" => plan_server(&opts),
         "plan-client" => plan_client(&opts),
-        other => Err(format!("unknown command `{other}`")),
+        other => unreachable!("`{other}` is in COMMANDS but has no handler"),
     }
 }
 
@@ -670,10 +745,7 @@ fn obs_diff(opts: &args::Options) -> Result<(), String> {
     let head = opts.require("head")?;
     let diff = adaptcomm_obs::causal::diff_captures(&read_capture(&base)?, &read_capture(&head)?);
     out!("{}", diff.render());
-    if let Some(threshold) = opts.get("fail-over") {
-        let threshold: f64 = threshold
-            .parse()
-            .map_err(|_| "`--fail-over` has an invalid value".to_string())?;
+    if let Some(threshold) = opts.parsed::<f64>("fail-over")? {
         if let Some((label, pct)) = diff.worst_regression() {
             if pct > threshold {
                 return Err(format!(
@@ -722,12 +794,9 @@ fn metrics_begin(
     opts: &args::Options,
     endpoints: adaptcomm_obs::ScrapeEndpoints,
 ) -> Result<Option<adaptcomm_obs::MetricsServer>, String> {
-    let Some(port) = opts.get("metrics-port") else {
+    let Some(port) = opts.parsed::<u16>("metrics-port")? else {
         return Ok(None);
     };
-    let port: u16 = port
-        .parse()
-        .map_err(|_| "`--metrics-port` has an invalid value".to_string())?;
     let obs = adaptcomm_obs::global();
     obs.set_enabled(true);
     let server = adaptcomm_obs::serve_metrics_with(obs.clone(), ("127.0.0.1", port), endpoints)
@@ -1297,9 +1366,9 @@ fn plan_server(opts: &args::Options) -> Result<(), String> {
         workers: opts.parsed_or("workers", 2)?,
         cache_capacity: opts.parsed_or("cache", 256)?,
         near_tolerance: opts.parsed_or("near-tolerance", 0.10)?,
-        default_est_ms: opts.parsed_or("est-ms", 10.0)?,
         pace: (pace_ms > 0.0).then(|| std::time::Duration::from_secs_f64(pace_ms / 1e3)),
         threads: opts.parsed_or("threads", 1)?,
+        ..PlanServerConfig::default()
     };
     let server = PlanServer::bind(&addr, config).map_err(|e| format!("binding {addr}: {e}"))?;
     outln!("plan server listening on {}", server.local_addr());
@@ -1373,11 +1442,7 @@ fn plan_client(opts: &args::Options) -> Result<(), String> {
         scheduler_by_name(&algorithm)?; // fail fast with the name list
         let priority: u64 = opts.parsed_or("priority", 0)?;
         let qos = QosSpec {
-            deadline_ms: opts
-                .get("deadline")
-                .map(|d| d.parse())
-                .transpose()
-                .map_err(|_| "`--deadline` has an invalid value".to_string())?,
+            deadline_ms: opts.parsed("deadline")?,
             priority: u8::try_from(priority).map_err(|_| "`--priority` must fit in 0-255")?,
             critical_links: parse_critical(&opts.get("critical").unwrap_or_default())?,
         };

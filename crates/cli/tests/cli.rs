@@ -24,6 +24,56 @@ fn help_prints_usage() {
     assert!(out.status.success());
 }
 
+/// The synopsis lines of a help text: `(command, first flag token)`.
+fn synopses(help: &str) -> Vec<(String, Option<String>)> {
+    help.lines()
+        .filter_map(|l| l.strip_prefix("  adaptcomm "))
+        .map(|l| {
+            let name = l.split_whitespace().next().unwrap().to_string();
+            let first = l
+                .find('[')
+                .map(|i| l[i + 1..l.find(']').unwrap()].to_string());
+            (name, first)
+        })
+        .collect()
+}
+
+#[test]
+fn every_command_has_its_own_help_and_rejects_bad_flags() {
+    let out = bin().arg("help").output().unwrap();
+    let commands = synopses(&String::from_utf8(out.stdout).unwrap());
+    assert!(commands.len() >= 15, "{commands:?}");
+    for (name, first) in commands.iter().filter(|(n, _)| n != "help") {
+        let out = bin().args([name, "--help"]).output().unwrap();
+        assert!(out.status.success(), "{name} --help");
+        let text = String::from_utf8(out.stdout).unwrap();
+        let own: Vec<_> = synopses(&text).into_iter().map(|(n, _)| n).collect();
+        assert_eq!(
+            own,
+            [name.as_str()],
+            "{name} --help prints only its synopsis"
+        );
+
+        let out = bin().args([name, "--sede", "1"]).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{name} --sede");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(
+            err.contains("--sede") && err.contains(&format!("`{name}`")),
+            "{err}"
+        );
+
+        // The command's first flag, given twice: `--p <N>` or `--adapt`.
+        let Some(first) = first else { continue };
+        let mut argv = vec![name.clone()];
+        for _ in 0..2 {
+            argv.extend(first.split(' ').map(|w| w.replace(['<', '>'], "")));
+        }
+        let out = bin().args(&argv).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{argv:?}");
+        assert!(String::from_utf8(out.stderr).unwrap().contains("twice"));
+    }
+}
+
 #[test]
 fn gusto_prints_both_tables() {
     let out = bin().arg("gusto").output().unwrap();

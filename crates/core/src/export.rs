@@ -1,10 +1,10 @@
 //! Schedule export: JSON and CSV event traces.
 //!
-//! The schedule types derive `serde::{Serialize, Deserialize}` for users
-//! who bring their own format crate; this module additionally provides
-//! dependency-free writers for the two formats external tooling most
-//! often wants — a JSON document (Gantt viewers, notebooks) and a flat
-//! CSV event trace (spreadsheets, gnuplot).
+//! These dependency-free writers are the only serialization the schedule
+//! types have: their `serde::{Serialize, Deserialize}` derives come from
+//! the offline shim and expand to nothing. They cover the two formats
+//! external tooling most often wants — a JSON document (Gantt viewers,
+//! notebooks) and a flat CSV event trace (spreadsheets, gnuplot).
 
 use crate::schedule::Schedule;
 use std::fmt::Write as _;

@@ -913,8 +913,8 @@ mod tests {
         fn state_at(&mut self, _t: Millis) -> NetParams {
             let mut net = self.0.clone();
             let e = net.estimate(0, 1);
-            // Struct literal: `LinkEstimate::new` asserts, but corrupt
-            // data can arrive through serde or field access.
+            // Struct literal: `LinkEstimate::new` asserts, but its
+            // fields are public, so corrupt data can be written directly.
             net.set_estimate(
                 0,
                 1,

@@ -1,68 +1,8 @@
-//! Cross-crate integration for the §2 substrates: task mapping feeding a
-//! communication phase, and data staging over a directory-derived WAN.
+//! Cross-crate integration for the §2 data-staging substrate over a
+//! directory-derived WAN.
 
-use adaptcomm::mapping::{etc, map_tasks, schedule_dag, HeterogeneityClass, Heuristic, TaskGraph};
 use adaptcomm::prelude::*;
 use adaptcomm::staging::{schedule_staging, DataItem, LinkGraph, NodeId, Request, StagingProblem};
-
-#[test]
-fn mapping_then_total_exchange_end_to_end() {
-    // Compute phase: map 40 tasks onto the 5 GUSTO machines.
-    let etc_matrix = etc::generate(40, 5, HeterogeneityClass::Inconsistent, 20.0, 8.0, 3);
-    let mapping = map_tasks(&etc_matrix, Heuristic::Sufferage);
-    assert!(mapping.makespan >= etc_matrix.lower_bound());
-
-    // Communication phase: redistribute results (size ∝ tasks run).
-    let network = adaptcomm::model::gusto::gusto_params();
-    let counts: Vec<u64> = (0..5)
-        .map(|m| mapping.assignment.iter().filter(|&&x| x == m).count() as u64)
-        .collect();
-    assert_eq!(counts.iter().sum::<u64>(), 40);
-    let comm = CommMatrix::from_fn(5, |src, dst| {
-        if src == dst {
-            0.0
-        } else {
-            network
-                .time(src, dst, Bytes::from_kb(10 * counts[src]))
-                .as_ms()
-        }
-    });
-    for scheduler in all_schedulers() {
-        let s = scheduler.schedule(&comm);
-        s.validate().unwrap();
-        assert!(s.completion_time().as_ms() >= comm.lower_bound().as_ms() - 1e-9);
-    }
-}
-
-#[test]
-fn dag_scheduling_uses_the_network_model() {
-    // A fork-join DAG over GUSTO machines: expensive WAN edges must steer
-    // placement decisions.
-    let mut graph = TaskGraph::new(6);
-    graph
-        .add_edge(0, 1, Bytes::from_kb(500))
-        .add_edge(0, 2, Bytes::from_kb(500))
-        .add_edge(1, 3, Bytes::from_kb(500))
-        .add_edge(2, 4, Bytes::from_kb(500))
-        .add_edge(3, 5, Bytes::from_kb(500))
-        .add_edge(4, 5, Bytes::from_kb(500));
-    let etc_matrix = etc::generate(6, 5, HeterogeneityClass::SemiConsistent, 5.0, 4.0, 9);
-    let network = adaptcomm::model::gusto::gusto_params();
-    let schedule = schedule_dag(&graph, &etc_matrix, &network);
-    // Basic sanity plus dependency preservation across crates.
-    for v in 0..6 {
-        for &(u, bytes) in graph.preds(v) {
-            let (pu, pv) = (schedule.placement[u], schedule.placement[v]);
-            let arrival = if pu.machine == pv.machine {
-                pu.finish
-            } else {
-                pu.finish + network.time(pu.machine, pv.machine, bytes).as_ms()
-            };
-            assert!(pv.start >= arrival - 1e-9);
-        }
-    }
-    assert!(schedule.makespan > 0.0);
-}
 
 #[test]
 fn staging_over_a_gusto_shaped_wan() {
